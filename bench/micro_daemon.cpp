@@ -1,29 +1,36 @@
 // Microbench: the live capture-to-alarm daemon (hids::Daemon).
 //
-// Three headline rows, emitted via --json for the committed BENCH_daemon.json
+// Four headline rows, emitted via --json for the committed BENCH_daemon.json
 // trajectory and gated in CI bench-smoke:
 //
 //   1. inline_drain — the pure processing path: packets/sec through
 //      order-filter -> flow table -> extractor -> bin scan -> learner with
-//      no queue in the way. Deterministic; this is the gated floor.
-//   2. saturate_offer — a producer thread offer()ing at full speed against
+//      no queue in the way. Deterministic; gated by --min-pkts-per-sec.
+//   2. pcap_drain — the path a real capture takes: the same trace as pcap
+//      bytes (written once, untimed) through consume_pcap + finish() on an
+//      inline daemon, so the pcap parser is in the timed span. Gated by
+//      --min-pcap-pkts-per-sec.
+//   3. saturate_offer — a producer thread offer()ing at full speed against
 //      the bounded queue: sustained packets/sec up to the first dropped
 //      batch, plus total drops (the backpressure story).
-//   3. storm_ttd — a Storm zombie switched on mid-stream after the daemon
+//   4. storm_ttd — a Storm zombie switched on mid-stream after the daemon
 //      has trained on clean weeks: wall position of the first alert past
 //      infection start, in simulated minutes (time-to-detection).
 //
 // The bench is self-verifying: the daemon's alarm set is recomputed with the
 // batch pipeline (extract_features + nearest-rank week-k thresholds) and any
-// divergence exits non-zero — a perf number from a wrong daemon is worthless.
+// divergence of either drain row exits non-zero — a perf number from a wrong
+// daemon is worthless.
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <thread>
 
 #include "bench/common.hpp"
 #include "hids/daemon.hpp"
 #include "stats/quantile.hpp"
 #include "trace/generator.hpp"
+#include "trace/pcap.hpp"
 #include "trace/population.hpp"
 #include "trace/storm.hpp"
 
@@ -100,6 +107,19 @@ std::vector<std::pair<std::size_t, std::uint64_t>> batch_alarms(
   return alarms;
 }
 
+/// True when the daemon raised exactly the batch pipeline's alarms.
+bool same_alarms(const std::vector<std::pair<std::size_t, std::uint64_t>>& expected,
+                 const hids::DaemonResult& result) {
+  if (expected.size() != result.alerts.size()) return false;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (expected[i].first != features::index_of(result.alerts[i].feature) ||
+        expected[i].second != result.alerts[i].bin) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -109,6 +129,7 @@ int main(int argc, char** argv) {
   flags.add_int("queue", 8, "bounded queue capacity for the saturation row");
   flags.add_int("storm-week", 2, "week the Storm zombie switches on");
   flags.add_double("min-pkts-per-sec", 0.0, "gate: fail if inline drain falls below");
+  flags.add_double("min-pcap-pkts-per-sec", 0.0, "gate: fail if pcap drain falls below");
   flags.add_double("ttd-max-minutes", 0.0, "gate: fail if storm TTD exceeds (0 = off)");
   if (!flags.parse(argc, argv)) return 0;
 
@@ -158,12 +179,7 @@ int main(int argc, char** argv) {
 
   // Differential check: the drain run must match the batch pipeline exactly.
   const auto expected = batch_alarms(config, clean);
-  bool identical = expected.size() == drain.alerts.size();
-  for (std::size_t i = 0; identical && i < expected.size(); ++i) {
-    identical = expected[i].first == features::index_of(drain.alerts[i].feature) &&
-                expected[i].second == drain.alerts[i].bin;
-  }
-  if (!identical) {
+  if (!same_alarms(expected, drain)) {
     std::cerr << "FAIL: daemon alarm set diverged from the batch pipeline ("
               << drain.alerts.size() << " vs " << expected.size() << " alarms)\n";
     return 1;
@@ -171,7 +187,42 @@ int main(int argc, char** argv) {
   std::cout << "differential check: " << expected.size()
             << " alarms bit-identical to the batch pipeline\n";
 
-  // --- Row 2: saturation via offer() against the bounded queue. -----------
+  // --- Row 2: pcap drain (bytes -> alarms; gated pkts/s floor). ------------
+  double pcap_ms = 0.0;
+  trace::PcapReadResult imported;
+  hids::DaemonResult pcap_drain = [&] {
+    std::istringstream capture(timings.time_setup("pcap_build", [&] {
+      std::ostringstream out;
+      trace::write_pcap(out, clean);
+      return std::move(out).str();
+    }));
+    const auto start = std::chrono::steady_clock::now();
+    hids::Daemon daemon(config);
+    imported = daemon.consume_pcap(capture, batch);
+    auto result = daemon.finish();
+    pcap_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                        start)
+                  .count();
+    return result;
+  }();
+  timings.record("pcap_drain", pcap_ms);
+  const double pcap_pps =
+      static_cast<double>(pcap_drain.stats.packets_ingested) / (pcap_ms / 1000.0);
+  timings.config("pcap_pkts_per_sec", static_cast<std::int64_t>(pcap_pps));
+  std::cout << "pcap drain: " << pcap_drain.stats.packets_ingested << " pkts in "
+            << util::fixed(pcap_ms, 1) << " ms = " << util::fixed(pcap_pps / 1e6, 2)
+            << " Mpkt/s\n";
+  if (!imported.stream_error.empty() || pcap_drain.stats.packets_ingested != clean.size() ||
+      !same_alarms(expected, pcap_drain)) {
+    std::cerr << "FAIL: pcap drain diverged from the batch pipeline ("
+              << pcap_drain.stats.packets_ingested << " of " << clean.size()
+              << " pkts ingested, " << pcap_drain.alerts.size() << " vs " << expected.size()
+              << " alarms" << (imported.stream_error.empty() ? "" : ", ")
+              << imported.stream_error << ")\n";
+    return 1;
+  }
+
+  // --- Row 3: saturation via offer() against the bounded queue. -----------
   config.deliver_inline = false;
   config.queue_capacity = static_cast<std::size_t>(std::max<long long>(1, flags.get_int("queue")));
   std::uint64_t offered_before_drop = 0;
@@ -218,7 +269,7 @@ int main(int argc, char** argv) {
             << saturate.stats.batches_dropped << " batches dropped, queue peak "
             << saturate.stats.queue_peak << '\n';
 
-  // --- Row 3: Storm time-to-detection, injected mid-stream. ---------------
+  // --- Row 4: Storm time-to-detection, injected mid-stream. ---------------
   const auto storm_week = static_cast<std::uint32_t>(
       std::clamp<long long>(flags.get_int("storm-week"), 1, weeks - 1));
   const auto storm_begin = static_cast<util::Timestamp>(storm_week) * util::kMicrosPerWeek;
@@ -259,6 +310,12 @@ int main(int argc, char** argv) {
   if (min_pps > 0.0 && drain_pps < min_pps) {
     std::cerr << "FAIL: inline drain " << util::fixed(drain_pps, 0) << " pkts/s below floor "
               << util::fixed(min_pps, 0) << '\n';
+    return 1;
+  }
+  const double min_pcap_pps = flags.get_double("min-pcap-pkts-per-sec");
+  if (min_pcap_pps > 0.0 && pcap_pps < min_pcap_pps) {
+    std::cerr << "FAIL: pcap drain " << util::fixed(pcap_pps, 0) << " pkts/s below floor "
+              << util::fixed(min_pcap_pps, 0) << '\n';
     return 1;
   }
   const double ttd_max = flags.get_double("ttd-max-minutes");

@@ -70,8 +70,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto imported = daemon.consume_pcap(in, batch);
-    std::cout << "pcap import: " << imported.packet_count << " packets, "
-              << imported.skipped_non_ipv4 + imported.skipped_protocol << " skipped";
+    std::cout << "pcap import: " << imported.records << " records, "
+              << imported.packet_count << " packets, "
+              << imported.skipped_non_ipv4 + imported.skipped_protocol +
+                     imported.skipped_fragment
+              << " skipped, " << imported.truncated << " truncated, " << imported.malformed
+              << " malformed";
     if (!imported.stream_error.empty()) {
       std::cout << "  [stream fault: " << imported.stream_error << "]";
     }

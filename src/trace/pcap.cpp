@@ -231,39 +231,128 @@ namespace {
 
 // ------------------------------------------------------------ reading
 
-struct Cursor {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
+constexpr std::size_t kGlobalHeader = 24;
+constexpr std::size_t kRecordHeader = 16;
+constexpr std::uint32_t kMaxRecordLength = 10 * 1024 * 1024;
+/// Bytes pulled from the stream per refill; a record longer than this grows
+/// the buffer to fit it (bounded by kMaxRecordLength).
+constexpr std::size_t kReadBlock = 256 * 1024;
 
-  [[nodiscard]] bool has(std::size_t n) const { return pos + n <= size; }
-  std::uint8_t u8() { return data[pos++]; }
-  std::uint16_t u16be() {
-    const std::uint16_t v = static_cast<std::uint16_t>(data[pos] << 8 | data[pos + 1]);
-    pos += 2;
-    return v;
+/// A pcap header field in the file's byte order.
+std::uint32_t load_u32(const std::uint8_t* p, bool swapped) {
+  if (swapped) {
+    return static_cast<std::uint32_t>(p[0]) << 24 | static_cast<std::uint32_t>(p[1]) << 16 |
+           static_cast<std::uint32_t>(p[2]) << 8 | static_cast<std::uint32_t>(p[3]);
   }
-  std::uint32_t u32be() {
-    const std::uint32_t v = static_cast<std::uint32_t>(data[pos]) << 24 |
-                            static_cast<std::uint32_t>(data[pos + 1]) << 16 |
-                            static_cast<std::uint32_t>(data[pos + 2]) << 8 |
-                            static_cast<std::uint32_t>(data[pos + 3]);
-    pos += 4;
-    return v;
+  return static_cast<std::uint32_t>(p[3]) << 24 | static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[1]) << 8 | static_cast<std::uint32_t>(p[0]);
+}
+
+/// Network-order (big-endian) packet header fields.
+std::uint16_t load_u16be(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] << 8 | p[1]);
+}
+
+std::uint32_t load_u32be(const std::uint8_t* p) {
+  return load_u32(p, /*swapped=*/true);
+}
+
+/// Pulls an istream in kReadBlock chunks into one reusable buffer and hands
+/// out in-place views of it, so a record costs no stream call of its own.
+class BlockReader {
+ public:
+  explicit BlockReader(std::istream& in) : in_(in), buf_(kReadBlock) {}
+
+  /// Makes at least `n` unread bytes available at data(); false when the
+  /// stream ends first (available() then holds what was left).
+  bool ensure(std::size_t n) {
+    if (end_ - pos_ >= n) [[likely]]
+      return true;
+    return refill(n);
   }
+
+  [[nodiscard]] const std::uint8_t* data() const { return buf_.data() + pos_; }
+  [[nodiscard]] std::size_t available() const { return end_ - pos_; }
+  void consume(std::size_t n) { pos_ += n; }
+
+ private:
+  // Kept out of line (and decode_frame forced inline) so the per-record
+  // path of the parse loop makes no function call.
+  [[gnu::noinline]] bool refill(std::size_t n) {
+    // Compact the unread tail (at most one record) to the front, then top
+    // the buffer up from the stream.
+    const std::size_t left = end_ - pos_;
+    if (left > 0 && pos_ > 0) std::memmove(buf_.data(), buf_.data() + pos_, left);
+    pos_ = 0;
+    end_ = left;
+    if (n > buf_.size()) buf_.resize(n);
+    while (end_ < n && !eof_) {
+      in_.read(reinterpret_cast<char*>(buf_.data() + end_),
+               static_cast<std::streamsize>(buf_.size() - end_));
+      end_ += static_cast<std::size_t>(in_.gcount());
+      eof_ = !in_;
+    }
+    return end_ >= n;
+  }
+
+  std::istream& in_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+  bool eof_ = false;
 };
 
-std::uint32_t read_u32(std::istream& in, bool swapped, bool& ok) {
-  std::array<unsigned char, 4> b{};
-  in.read(reinterpret_cast<char*>(b.data()), 4);
-  ok = static_cast<bool>(in);
-  if (!ok) return 0;
-  if (swapped) {
-    return static_cast<std::uint32_t>(b[0]) << 24 | static_cast<std::uint32_t>(b[1]) << 16 |
-           static_cast<std::uint32_t>(b[2]) << 8 | static_cast<std::uint32_t>(b[3]);
+/// What one captured frame turned out to be.
+enum class FrameKind { Packet, NonIpv4, OtherProtocol, Fragment, Truncated, Malformed };
+
+/// Decodes the Ethernet/IPv4/L4 headers of a `len`-byte captured frame into
+/// `p` (all fields but the timestamp). Only a FrameKind::Packet result
+/// leaves `p` meaningful.
+[[gnu::always_inline]] inline FrameKind decode_frame(const std::uint8_t* frame,
+                                                     std::size_t len, net::PacketRecord& p) {
+  if (len < kEthernetHeader) return FrameKind::Truncated;
+  if (load_u16be(frame + 12) != kEthertypeIpv4) return FrameKind::NonIpv4;
+  if (len < kEthernetHeader + kIpv4Header) return FrameKind::Truncated;
+  const std::uint8_t* ip = frame + kEthernetHeader;
+  if ((ip[0] >> 4) != 4) return FrameKind::NonIpv4;
+  const std::size_t ihl = static_cast<std::size_t>(ip[0] & 0x0F) * 4;
+  const std::uint16_t total_len = load_u16be(ip + 2);
+  if (ihl < kIpv4Header || total_len < ihl || kEthernetHeader + ihl > len) {
+    return FrameKind::Malformed;
   }
-  return static_cast<std::uint32_t>(b[3]) << 24 | static_cast<std::uint32_t>(b[2]) << 16 |
-         static_cast<std::uint32_t>(b[1]) << 8 | static_cast<std::uint32_t>(b[0]);
+  // Only the first fragment carries the transport header.
+  if ((load_u16be(ip + 6) & 0x1FFF) != 0) return FrameKind::Fragment;
+  const std::uint8_t proto = ip[9];
+  p.tuple.src_ip = net::Ipv4Address(load_u32be(ip + 12));
+  p.tuple.dst_ip = net::Ipv4Address(load_u32be(ip + 16));
+
+  const std::uint8_t* l4 = ip + ihl;
+  const std::size_t l4_captured = len - kEthernetHeader - ihl;
+  std::size_t l4_header = 0;
+  if (proto == 6) {
+    if (l4_captured < kTcpHeader) return FrameKind::Truncated;
+    p.tuple.protocol = net::Protocol::Tcp;
+    p.tuple.src_port = load_u16be(l4);
+    p.tuple.dst_port = load_u16be(l4 + 2);
+    p.tcp_flags = static_cast<net::TcpFlags>(l4[13] & 0x1F);
+    l4_header = kTcpHeader;
+  } else if (proto == 17) {
+    if (l4_captured < kUdpHeader) return FrameKind::Truncated;
+    p.tuple.protocol = net::Protocol::Udp;
+    p.tuple.src_port = load_u16be(l4);
+    p.tuple.dst_port = load_u16be(l4 + 2);
+    l4_header = kUdpHeader;
+  } else if (proto == 1) {
+    p.tuple.protocol = net::Protocol::Icmp;
+    l4_header = kIcmpHeader;
+  } else {
+    return FrameKind::OtherProtocol;
+  }
+
+  const std::size_t header_bytes = ihl + l4_header;
+  p.payload_bytes =
+      total_len > header_bytes ? static_cast<std::uint16_t>(total_len - header_bytes) : 0;
+  return FrameKind::Packet;
 }
 
 /// The shared parse loop behind read_pcap and stream_pcap: fills the stats
@@ -274,11 +363,10 @@ std::uint32_t read_u32(std::istream& in, bool swapped, bool& ok) {
 template <typename OnPacket>
 void parse_pcap_stream(std::istream& in, PcapReadResult& result, OnPacket&& on_packet,
                        bool recover = false) {
-  bool ok = false;
-  const std::uint32_t magic = read_u32(in, /*swapped=*/false, ok);
-  MONOHIDS_ENSURE(ok, "pcap stream is empty");
+  BlockReader reader(in);
+  MONOHIDS_ENSURE(reader.ensure(4), "pcap stream is empty");
   bool swapped = false;
-  switch (magic) {
+  switch (load_u32(reader.data(), /*swapped=*/false)) {
     case kMagicMicro: break;
     case kMagicNano: result.nanosecond_timestamps = true; break;
     case kMagicMicroSwapped: swapped = true; break;
@@ -291,111 +379,47 @@ void parse_pcap_stream(std::istream& in, PcapReadResult& result, OnPacket&& on_p
   }
   result.byte_swapped = swapped;
 
-  (void)read_u32(in, swapped, ok);  // version
-  (void)read_u32(in, swapped, ok);  // thiszone
-  (void)read_u32(in, swapped, ok);  // sigfigs
-  (void)read_u32(in, swapped, ok);  // snaplen
-  const std::uint32_t linktype = read_u32(in, swapped, ok);
-  MONOHIDS_ENSURE(ok, "truncated pcap global header");
+  MONOHIDS_ENSURE(reader.ensure(kGlobalHeader), "truncated pcap global header");
+  const std::uint32_t linktype = load_u32(reader.data() + 20, swapped);
   MONOHIDS_ENSURE(linktype == kLinktypeEthernet,
                   "unsupported pcap linktype " + std::to_string(linktype) +
                       " (only Ethernet is supported)");
+  reader.consume(kGlobalHeader);
 
-  std::vector<std::uint8_t> frame;
+  const bool nanos = result.nanosecond_timestamps;
   while (true) {
-    const std::uint32_t ts_sec = read_u32(in, swapped, ok);
-    if (!ok) break;  // clean EOF
-    std::uint32_t ts_frac = 0;
     std::uint32_t incl_len = 0;
-    std::uint32_t orig_len = 0;
     try {
-      ts_frac = read_u32(in, swapped, ok);
-      incl_len = read_u32(in, swapped, ok);
-      orig_len = read_u32(in, swapped, ok);
-      MONOHIDS_ENSURE(ok, "truncated pcap record header");
-      MONOHIDS_ENSURE(incl_len <= 10 * 1024 * 1024, "implausible pcap record length");
-
-      frame.resize(incl_len);
-      in.read(reinterpret_cast<char*>(frame.data()), incl_len);
-      MONOHIDS_ENSURE(static_cast<bool>(in), "truncated pcap record body");
+      if (!reader.ensure(kRecordHeader)) {
+        // Only a stream that ends exactly on a record boundary is clean.
+        MONOHIDS_ENSURE(reader.available() == 0, "truncated pcap record header");
+        break;
+      }
+      incl_len = load_u32(reader.data() + 8, swapped);
+      MONOHIDS_ENSURE(incl_len <= kMaxRecordLength, "implausible pcap record length");
+      MONOHIDS_ENSURE(reader.ensure(kRecordHeader + incl_len), "truncated pcap record body");
     } catch (const InputError& e) {
       if (!recover) throw;
       result.stream_error = e.what();
       return;
     }
-
-    Cursor c{frame.data(), frame.size()};
-    if (!c.has(kEthernetHeader)) {
-      ++result.truncated;
-      continue;
-    }
-    c.pos = 12;  // skip MACs
-    const std::uint16_t ethertype = c.u16be();
-    if (ethertype != kEthertypeIpv4) {
-      ++result.skipped_non_ipv4;
-      continue;
-    }
-    if (!c.has(kIpv4Header)) {
-      ++result.truncated;
-      continue;
-    }
-    const std::size_t ip_start = c.pos;
-    const std::uint8_t version_ihl = c.u8();
-    if ((version_ihl >> 4) != 4) {
-      ++result.skipped_non_ipv4;
-      continue;
-    }
-    const std::size_t ihl = static_cast<std::size_t>(version_ihl & 0x0F) * 4;
-    c.pos = ip_start + 2;
-    const std::uint16_t total_len = c.u16be();
-    c.pos = ip_start + 9;
-    const std::uint8_t proto = c.u8();
-    c.pos = ip_start + 12;
-    const std::uint32_t src = c.u32be();
-    const std::uint32_t dst = c.u32be();
-    c.pos = ip_start + ihl;
+    const std::uint8_t* record = reader.data();
+    reader.consume(kRecordHeader + incl_len);
+    ++result.records;
 
     net::PacketRecord p;
-    const std::uint64_t micros =
-        result.nanosecond_timestamps ? ts_frac / 1000 : ts_frac;
-    p.timestamp = static_cast<util::Timestamp>(ts_sec) * 1'000'000 + micros;
-    p.tuple.src_ip = net::Ipv4Address(src);
-    p.tuple.dst_ip = net::Ipv4Address(dst);
-
-    std::size_t l4 = 0;
-    if (proto == 6) {
-      p.tuple.protocol = net::Protocol::Tcp;
-      if (!c.has(kTcpHeader)) {
-        ++result.truncated;
-        continue;
-      }
-      p.tuple.src_port = c.u16be();
-      p.tuple.dst_port = c.u16be();
-      c.pos += 9;  // seq, ack, data offset
-      p.tcp_flags = static_cast<net::TcpFlags>(c.u8() & 0x1F);
-      l4 = kTcpHeader;
-    } else if (proto == 17) {
-      p.tuple.protocol = net::Protocol::Udp;
-      if (!c.has(kUdpHeader)) {
-        ++result.truncated;
-        continue;
-      }
-      p.tuple.src_port = c.u16be();
-      p.tuple.dst_port = c.u16be();
-      l4 = kUdpHeader;
-    } else if (proto == 1) {
-      p.tuple.protocol = net::Protocol::Icmp;
-      l4 = kIcmpHeader;
-    } else {
-      ++result.skipped_protocol;
-      continue;
+    switch (decode_frame(record + kRecordHeader, incl_len, p)) {
+      case FrameKind::Packet: break;
+      case FrameKind::NonIpv4: ++result.skipped_non_ipv4; continue;
+      case FrameKind::OtherProtocol: ++result.skipped_protocol; continue;
+      case FrameKind::Fragment: ++result.skipped_fragment; continue;
+      case FrameKind::Truncated: ++result.truncated; continue;
+      case FrameKind::Malformed: ++result.malformed; continue;
     }
-
-    const std::size_t header_bytes = ihl + l4;
-    p.payload_bytes = total_len > header_bytes
-                          ? static_cast<std::uint16_t>(total_len - header_bytes)
-                          : 0;
-    (void)orig_len;
+    const std::uint32_t ts_sec = load_u32(record, swapped);
+    const std::uint32_t ts_frac = load_u32(record + 4, swapped);
+    const std::uint32_t micros = nanos ? ts_frac / 1000 : ts_frac;
+    p.timestamp = static_cast<util::Timestamp>(ts_sec) * 1'000'000 + micros;
     ++result.packet_count;
     on_packet(p);
   }

@@ -7,7 +7,28 @@
 // read_pcap() parses real captures (either byte order, micro- or
 // nanosecond timestamps) back into PacketRecords, so the whole pipeline —
 // flow table, features, policies — runs on actual traffic without any
-// conversion step. Non-IPv4 frames are counted and skipped.
+// conversion step.
+//
+// The readers pull the stream in 256 KiB blocks into one reusable buffer
+// and decode each record's headers in place, stepping over the payload
+// without a per-record stream call. Every complete record is counted in
+// PcapReadResult::records and lands in exactly one outcome:
+//
+//   records == packet_count + skipped_non_ipv4 + skipped_protocol
+//              + skipped_fragment + truncated + malformed
+//
+// Non-IPv4 frames, other upper protocols and non-first IPv4 fragments are
+// skipped; frames whose snaplen cuts the headers count as truncated; an
+// IPv4 header with IHL < 5, a total length shorter than its header, or an
+// IHL running past the captured bytes counts as malformed. None of these
+// reach the sink. A fault in the record framing itself (a stream ending
+// inside a record header or body, or an implausible record length) is an
+// InputError; only a stream ending exactly on a record boundary is a clean
+// end of capture.
+//
+// Read-ahead: the readers consume up to one block past the record they
+// are decoding, so after an early stop (stream_pcap_recovering's fault)
+// the stream's position is past the faulting record, not at it.
 #pragma once
 
 #include <cstdint>
@@ -20,13 +41,17 @@
 
 namespace monohids::trace {
 
-/// Import statistics alongside the parsed packets.
+/// Import statistics alongside the parsed packets. The record counters
+/// partition `records` (see the conservation identity above).
 struct PcapReadResult {
   std::vector<net::PacketRecord> packets;
+  std::uint64_t records = 0;            ///< complete pcap records read
   std::uint64_t packet_count = 0;       ///< parsed packets (== packets.size() for read_pcap)
-  std::uint64_t skipped_non_ipv4 = 0;   ///< frames with another ethertype
+  std::uint64_t skipped_non_ipv4 = 0;   ///< frames with another ethertype or IP version
   std::uint64_t skipped_protocol = 0;   ///< IPv4 but not TCP/UDP/ICMP
-  std::uint64_t truncated = 0;          ///< snaplen cut into the headers
+  std::uint64_t skipped_fragment = 0;   ///< IPv4 fragments past the first (offset != 0)
+  std::uint64_t truncated = 0;          ///< snaplen cut into the Ethernet/IPv4/L4 headers
+  std::uint64_t malformed = 0;          ///< IPv4 header with a bad IHL or total length
   bool nanosecond_timestamps = false;
   bool byte_swapped = false;
   /// Only set by stream_pcap_recovering: the diagnostic of the mid-stream
@@ -39,8 +64,8 @@ struct PcapReadResult {
 /// the study uses. Timestamps are microseconds from trace start.
 void write_pcap(std::ostream& out, const std::vector<net::PacketRecord>& packets);
 
-/// Parses a pcap stream. Throws InputError on malformed files; tolerates
-/// unknown upper protocols by skipping (counted in the result).
+/// Parses a pcap stream. Throws InputError on malformed files or framing;
+/// skips and counts frames it cannot use (see the counters above).
 [[nodiscard]] PcapReadResult read_pcap(std::istream& in);
 
 /// Streaming form of read_pcap: pushes parsed packets into `sink` in batches
@@ -55,7 +80,8 @@ PcapReadResult stream_pcap(std::istream& in, features::PacketSink& sink,
 /// a truncated or corrupt record mid-stream stops the import gracefully
 /// instead of throwing — every packet parsed before the fault is still
 /// flushed to `sink`, and the diagnostic lands in the result's
-/// `stream_error` field. A capture whose global header is already
+/// `stream_error` field; this includes a stream that ends 1-15 bytes into a
+/// record header. A capture whose global header is already
 /// malformed (bad magic, unsupported linktype, truncated header) throws
 /// InputError exactly like stream_pcap: there is nothing to recover.
 PcapReadResult stream_pcap_recovering(std::istream& in, features::PacketSink& sink,

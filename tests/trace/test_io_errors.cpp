@@ -260,6 +260,24 @@ TEST(TraceIoErrors, PcapTruncatedRecordHeaderAndBodyAreRejected) {
                              "truncated pcap record body");
 }
 
+TEST(TraceIoErrors, PcapTrailingRecordHeaderFragmentIsRejected) {
+  // Only a stream that ends on a record boundary is a clean end of capture:
+  // 1-15 stray bytes after the last full record are the start of a record
+  // header that never arrived.
+  for (std::size_t tail : {1u, 2u, 3u, 15u}) {
+    SCOPED_TRACE("tail=" + std::to_string(tail));
+    const std::string bytes = pcap_bytes() + std::string(tail, '\x01');
+    expect_pcap_readers_reject(bytes, "truncated pcap record header");
+
+    std::istringstream in(bytes);
+    CountingSink sink;
+    const PcapReadResult result = stream_pcap_recovering(in, sink);
+    EXPECT_EQ(sink.packets, 8u);
+    EXPECT_NE(result.stream_error.find("truncated pcap record header"), std::string::npos)
+        << "actual: " << result.stream_error;
+  }
+}
+
 TEST(TraceIoErrors, PcapImplausibleRecordLengthIsRejected) {
   std::string bytes = pcap_bytes();
   // incl_len lives at record offset +8; claim 256 MiB for the first record.

@@ -6,6 +6,7 @@
 
 #include "features/pipeline.hpp"
 #include "trace/generator.hpp"
+#include "pcap_image.hpp"
 #include "trace/population.hpp"
 #include "util/error.hpp"
 
@@ -179,6 +180,51 @@ TEST(Pcap, SkipsNonIpv4Frames) {
   const auto result = read_pcap(corrupted);
   EXPECT_TRUE(result.packets.empty());
   EXPECT_EQ(result.skipped_non_ipv4, 1u);
+}
+
+TEST(Pcap, NonFirstFragmentsAreSkippedAndCounted) {
+  // A fragment past the first carries payload where the transport header
+  // would be; parsing it would read payload bytes as ports. The first
+  // fragment (MF set, offset 0) still holds the header and is parsed.
+  const auto original = sample_packets();
+  std::string bytes = pcap_image::of(original);
+  const auto records = pcap_image::record_offsets(bytes);
+  pcap_image::put_u16_be(bytes, pcap_image::ip_header_at(records[2]) + 6, 0x2000 | 185);
+  pcap_image::put_u16_be(bytes, pcap_image::ip_header_at(records[3]) + 6, 0x2000);
+  std::istringstream in(bytes);
+  const auto result = read_pcap(in);
+
+  EXPECT_EQ(result.records, 5u);
+  EXPECT_EQ(result.skipped_fragment, 1u);
+  const std::vector<PacketRecord> expected{original[0], original[1], original[3], original[4]};
+  EXPECT_EQ(result.packets, expected);
+}
+
+TEST(Pcap, MalformedIpv4HeadersAreCountedNotParsed) {
+  // Record 0 is a 54-byte TCP SYN frame: an IHL of 15 (60 header bytes)
+  // runs past its captured bytes, IHL 4 would put the "ports" inside the IP
+  // header itself, and a total length of 19 is shorter than the header.
+  const auto original = sample_packets();
+  const std::string pristine = pcap_image::of(original);
+  const std::size_t ip = pcap_image::ip_header_at(pcap_image::record_offsets(pristine)[0]);
+  for (const auto& [offset, value] : {std::pair<std::size_t, std::uint16_t>{0, 0x44},
+                                      {0, 0x40},
+                                      {0, 0x4F},
+                                      {2, 19}}) {
+    SCOPED_TRACE("byte " + std::to_string(offset) + " = " + std::to_string(value));
+    std::string bytes = pristine;
+    if (offset == 0) {
+      bytes[ip] = static_cast<char>(value);
+    } else {
+      pcap_image::put_u16_be(bytes, ip + offset, value);
+    }
+    std::istringstream in(bytes);
+    const auto result = read_pcap(in);
+    EXPECT_EQ(result.records, 5u);
+    EXPECT_EQ(result.malformed, 1u);
+    EXPECT_EQ(result.truncated, 0u);
+    EXPECT_EQ(result.packets, std::vector<PacketRecord>(original.begin() + 1, original.end()));
+  }
 }
 
 TEST(Pcap, RejectsGarbageAndTruncation) {
