@@ -205,8 +205,8 @@ inline trace::ScenarioVersion scenario_version_from_flags(const util::CliFlags& 
 /// The generation mode a flag set resolves to, for the config echo: which
 /// implementation generate_features will actually run.
 inline std::string generation_mode_from_flags(const util::CliFlags& flags) {
-  if (scenario_version_from_flags(flags) == trace::ScenarioVersion::V2) return "v2-tiled";
-  return trace::batched_generation_enabled() ? "v1-batched" : "v1-reference";
+  return scenario_version_from_flags(flags) == trace::ScenarioVersion::V2 ? "v2-tiled"
+                                                                         : "v1-batched";
 }
 
 /// Copies the standard scenario flags into a timing record's config echo.

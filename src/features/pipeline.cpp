@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "net/flow_table_ref.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/error.hpp"
@@ -142,29 +141,6 @@ PipelineResult extract_features(net::Ipv4Address monitored,
   IngestSession session(monitored, config);
   session.on_batch(packets);
   return session.finish();
-}
-
-PipelineResult extract_features_reference(net::Ipv4Address monitored,
-                                          std::span<const net::PacketRecord> packets,
-                                          const PipelineConfig& config) {
-  net::ReferenceFlowTable table(monitored, config.flow_config);
-  FeatureExtractor extractor(config.grid, config.horizon);
-
-  for (const net::PacketRecord& packet : packets) {
-    extractor.on_packet(packet, monitored);
-    table.process(packet);
-    for (const net::FlowEvent& event : table.drain_events()) {
-      extractor.on_flow_event(event);
-    }
-  }
-  const util::Timestamp last_seen = packets.empty() ? 0 : packets.back().timestamp;
-  table.flush(std::max<util::Timestamp>(config.horizon, last_seen));
-  for (const net::FlowEvent& event : table.drain_events()) {
-    extractor.on_flow_event(event);
-  }
-  extractor.finish();
-
-  return PipelineResult{extractor.matrix(), table.stats()};
 }
 
 }  // namespace monohids::features

@@ -122,16 +122,10 @@ class IngestSession final : public PacketSink {
 };
 
 /// Runs `packets` (time-ordered, all involving `monitored`) through
-/// connection tracking and feature extraction.
+/// connection tracking and feature extraction. Byte-identical to the seed
+/// batch pipeline kept as a test oracle (tests/oracles/pipeline_ref.hpp).
 [[nodiscard]] PipelineResult extract_features(net::Ipv4Address monitored,
                                               std::span<const net::PacketRecord> packets,
                                               const PipelineConfig& config = {});
-
-/// The seed batch pipeline (map-based ReferenceFlowTable, per-packet event
-/// drains). Kept as the differential-testing and benchmarking baseline; the
-/// streaming engine must stay byte-identical to this.
-[[nodiscard]] PipelineResult extract_features_reference(
-    net::Ipv4Address monitored, std::span<const net::PacketRecord> packets,
-    const PipelineConfig& config = {});
 
 }  // namespace monohids::features

@@ -11,10 +11,11 @@ namespace monohids::hids {
 
 double AttackModel::mean_fn(const stats::EmpiricalDistribution& g, double t) const {
   MONOHIDS_EXPECT(!sizes.empty(), "attack model has no sizes");
-  if (stats::kernels::batching_enabled() && !g.empty() && sizes.size() >= 8) {
+  if (!g.empty() && sizes.size() >= 8) {
     // One batched rank call for the whole sweep instead of one binary
-    // search per size. The shifted queries t - b are the exact subtractions
-    // the per-call path feeds to cdf, and ranks are exact integers, so the
+    // search per size (below 8 sizes the per-size loop at the end is as
+    // cheap). The shifted queries t - b are the exact subtractions the
+    // per-call path feeds to cdf, and ranks are exact integers, so the
     // size-ordered accumulation below reproduces the seed sum bit-for-bit.
     thread_local std::vector<double> queries;
     thread_local std::vector<std::uint32_t> ranks;

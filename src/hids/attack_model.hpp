@@ -20,9 +20,10 @@ struct AttackModel {
   std::vector<double> sizes;  ///< candidate per-bin attack magnitudes (> 0)
 
   /// Mean false-negative rate of threshold `t` against this sweep, under
-  /// benign behavior `g`: mean over sizes of P(g + b <= t). Internally
-  /// batches the per-size rank queries through stats::kernels (bit-identical
-  /// to the per-size loop; disable via kernels::set_batching_enabled).
+  /// benign behavior `g`: mean over sizes of P(g + b <= t). From 8 sizes up,
+  /// batches the per-size rank queries through stats::kernels; below that it
+  /// sums shifted_cdf per size. Both are bit-identical to the per-size loop
+  /// kept as a test oracle (tests/oracles/kernels.hpp).
   [[nodiscard]] double mean_fn(const stats::EmpiricalDistribution& g, double t) const;
 
   /// Batched mean_fn over a whole ascending threshold sweep: out[j] =

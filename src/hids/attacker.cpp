@@ -23,59 +23,49 @@ std::vector<double> naive_detection_curve(
   MONOHIDS_EXPECT(test_users.size() == thresholds.size(),
                   "user/threshold count mismatch");
   MONOHIDS_EXPECT(!test_users.empty(), "empty population");
-  if (stats::kernels::batching_enabled() && !sizes.empty()) {
-    // One batched rank call per user fills a user x size probability matrix;
-    // the reduction over users then runs in the seed's user order with the
-    // seed's 1 - rank/n values, so the curve is bit-identical. An ascending
-    // size sweep makes the shifted queries t_u - b descending, so reversing
-    // them unlocks the O(n + S) merge-scan.
-    const std::size_t U = test_users.size();
-    const std::size_t S = sizes.size();
-    std::vector<double> prob(U * S);
-    util::parallel_for(
-        U,
-        [&](std::size_t u) {
-          MONOHIDS_EXPECT(!test_users[u].empty(), "empty test distribution");
-          thread_local std::vector<double> queries;
-          thread_local std::vector<std::uint32_t> ranks;
-          queries.resize(S);
-          ranks.resize(S);
-          for (std::size_t s = 0; s < S; ++s) {
-            queries[s] = thresholds[u] - sizes[S - 1 - s];
-          }
-          const auto& ops = stats::kernels::active();
-          const bool ascending = std::is_sorted(queries.begin(), queries.end());
-          if (ascending) {
-            ops.rank_sorted(test_users[u].samples(), queries, 0.0, ranks.data());
-          } else {
-            for (std::size_t s = 0; s < S; ++s) queries[s] = thresholds[u] - sizes[s];
-            ops.rank_unsorted(test_users[u].samples(), queries, 0.0, ranks.data());
-          }
-          const auto n = static_cast<double>(test_users[u].size());
-          double* row = prob.data() + u * S;
-          for (std::size_t s = 0; s < S; ++s) {
-            const std::uint32_t rank = ascending ? ranks[S - 1 - s] : ranks[s];
-            row[s] = 1.0 - static_cast<double>(rank) / n;
-          }
-        },
-        threads);
-    return util::parallel_map(
-        S,
-        [&](std::size_t s) {
-          double acc = 0.0;
-          for (std::size_t u = 0; u < U; ++u) acc += prob[u * S + s];
-          return acc / static_cast<double>(U);
-        },
-        threads);
-  }
+  if (sizes.empty()) return {};
+  // One batched rank call per user fills a user x size probability matrix;
+  // the reduction over users then runs in user order with the per-call
+  // 1 - rank/n values, so the curve is bit-identical to summing
+  // naive_detection_probability. An ascending size sweep makes the shifted
+  // queries t_u - b descending, so reversing them unlocks the O(n + S)
+  // merge-scan; any other order takes the unsorted rank kernel.
+  const std::size_t U = test_users.size();
+  const std::size_t S = sizes.size();
+  std::vector<double> prob(U * S);
+  util::parallel_for(
+      U,
+      [&](std::size_t u) {
+        MONOHIDS_EXPECT(!test_users[u].empty(), "empty test distribution");
+        thread_local std::vector<double> queries;
+        thread_local std::vector<std::uint32_t> ranks;
+        queries.resize(S);
+        ranks.resize(S);
+        for (std::size_t s = 0; s < S; ++s) {
+          queries[s] = thresholds[u] - sizes[S - 1 - s];
+        }
+        const auto& ops = stats::kernels::active();
+        const bool ascending = std::is_sorted(queries.begin(), queries.end());
+        if (ascending) {
+          ops.rank_sorted(test_users[u].samples(), queries, 0.0, ranks.data());
+        } else {
+          for (std::size_t s = 0; s < S; ++s) queries[s] = thresholds[u] - sizes[s];
+          ops.rank_unsorted(test_users[u].samples(), queries, 0.0, ranks.data());
+        }
+        const auto n = static_cast<double>(test_users[u].size());
+        double* row = prob.data() + u * S;
+        for (std::size_t s = 0; s < S; ++s) {
+          const std::uint32_t rank = ascending ? ranks[S - 1 - s] : ranks[s];
+          row[s] = 1.0 - static_cast<double>(rank) / n;
+        }
+      },
+      threads);
   return util::parallel_map(
-      sizes.size(),
+      S,
       [&](std::size_t s) {
         double acc = 0.0;
-        for (std::size_t u = 0; u < test_users.size(); ++u) {
-          acc += naive_detection_probability(test_users[u], thresholds[u], sizes[s]);
-        }
-        return acc / static_cast<double>(test_users.size());
+        for (std::size_t u = 0; u < U; ++u) acc += prob[u * S + s];
+        return acc / static_cast<double>(U);
       },
       threads);
 }

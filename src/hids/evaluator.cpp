@@ -170,18 +170,8 @@ ReplayOutcome evaluate_replay(std::span<const double> benign_test_bins,
   std::uint64_t benign_alarms = 0;
   std::uint64_t attacked_bins = 0;
   std::uint64_t detected = 0;
-  if (stats::kernels::batching_enabled()) {
-    stats::kernels::active().replay_detect(benign_test_bins, attack_bins, threshold,
-                                           benign_alarms, attacked_bins, detected);
-  } else {
-    for (std::size_t i = 0; i < benign_test_bins.size(); ++i) {
-      if (benign_test_bins[i] > threshold) ++benign_alarms;
-      if (attack_bins[i] > 0.0) {
-        ++attacked_bins;
-        if (benign_test_bins[i] + attack_bins[i] > threshold) ++detected;
-      }
-    }
-  }
+  stats::kernels::active().replay_detect(benign_test_bins, attack_bins, threshold,
+                                         benign_alarms, attacked_bins, detected);
   ReplayOutcome out;
   out.fp_rate = static_cast<double>(benign_alarms) /
                 static_cast<double>(benign_test_bins.size());
@@ -206,22 +196,8 @@ JointAlarmOutcome joint_alarm_rate(
 
   std::uint64_t joint = 0;
   std::array<std::uint64_t, features::kFeatureCount> marginal{};
-  if (stats::kernels::batching_enabled()) {
-    stats::kernels::active().joint_exceed(slices.data(), thresholds.data(),
-                                          features::kFeatureCount, bins, marginal.data(),
-                                          joint);
-  } else {
-    for (std::size_t b = 0; b < bins; ++b) {
-      bool any = false;
-      for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-        if (slices[i][b] > thresholds[i]) {
-          ++marginal[i];
-          any = true;
-        }
-      }
-      if (any) ++joint;
-    }
-  }
+  stats::kernels::active().joint_exceed(slices.data(), thresholds.data(),
+                                        features::kFeatureCount, bins, marginal.data(), joint);
   outcome.joint_fp_rate = static_cast<double>(joint) / static_cast<double>(bins);
   for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
     outcome.per_feature[i] = static_cast<double>(marginal[i]) / static_cast<double>(bins);

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "stats/classification.hpp"
-#include "stats/kernels.hpp"
 #include "util/error.hpp"
 
 namespace monohids::hids {
@@ -16,7 +15,9 @@ namespace {
 // so one exceedance merge-scan plus one rank_grid pass replaces the
 // 2 * |candidates| binary-search calls of the per-threshold loop. Both
 // fill-ins are bit-identical to the per-call operations, so the selection
-// loops below pick the same threshold the seed path picks.
+// loops below pick the same threshold the seed per-threshold loop picks
+// (tests/oracles keeps that loop as SeedUtilityHeuristic and
+// SeedFMeasureHeuristic).
 struct SweepRates {
   std::vector<double> thresholds;
   std::vector<double> fp;  ///< fp[j] = training.exceedance(thresholds[j])
@@ -87,34 +88,18 @@ double FMeasureHeuristic::compute(const stats::EmpiricalDistribution& training,
                   "F-measure heuristic requires an attack model");
   double best_t = training.max();
   double best_f = -1.0;
-  if (stats::kernels::batching_enabled()) {
-    const SweepRates rates = batched_sweep(training, *attack);
-    for (std::size_t j = 0; j < rates.thresholds.size(); ++j) {
-      const double tp = 1.0 - rates.fn[j];
-      const double fp = rates.fp[j];
-      const double prec = (tp + fp) > 0.0 ? tp / (tp + fp) : 0.0;
-      const double rec = tp;
-      const double f = (prec + rec) > 0.0 ? 2.0 * prec * rec / (prec + rec) : 0.0;
-      if (f > best_f) {
-        best_f = f;
-        best_t = rates.thresholds[j];
-      }
-    }
-    return best_t;
-  }
-  for (double t : candidate_thresholds(training)) {
-    // Precision/recall over the implied labelled set: every (benign sample)
+  const SweepRates rates = batched_sweep(training, *attack);
+  for (std::size_t j = 0; j < rates.thresholds.size(); ++j) {
+    // Precision/recall over the implied labelled set: every benign sample
     // is a negative; every (benign + b) is a positive, uniformly over b.
-    const double fp_rate = training.exceedance(t);
-    const double fn_rate = attack->mean_fn(training, t);
-    const double tp = 1.0 - fn_rate;          // per-positive mass detected
-    const double fp = fp_rate;                // per-negative mass alarmed
+    const double tp = 1.0 - rates.fn[j];  // per-positive mass detected
+    const double fp = rates.fp[j];        // per-negative mass alarmed
     const double prec = (tp + fp) > 0.0 ? tp / (tp + fp) : 0.0;
     const double rec = tp;
     const double f = (prec + rec) > 0.0 ? 2.0 * prec * rec / (prec + rec) : 0.0;
     if (f > best_f) {
       best_f = f;
-      best_t = t;
+      best_t = rates.thresholds[j];
     }
   }
   return best_t;
@@ -132,24 +117,12 @@ double UtilityHeuristic::compute(const stats::EmpiricalDistribution& training,
                   "utility heuristic requires an attack model");
   double best_t = training.max();
   double best_u = -2.0;
-  if (stats::kernels::batching_enabled()) {
-    const SweepRates rates = batched_sweep(training, *attack);
-    for (std::size_t j = 0; j < rates.thresholds.size(); ++j) {
-      const double u = stats::utility(rates.fn[j], rates.fp[j], w_);
-      if (u > best_u) {
-        best_u = u;
-        best_t = rates.thresholds[j];
-      }
-    }
-    return best_t;
-  }
-  for (double t : candidate_thresholds(training)) {
-    const double fp_rate = training.exceedance(t);
-    const double fn_rate = attack->mean_fn(training, t);
-    const double u = stats::utility(fn_rate, fp_rate, w_);
+  const SweepRates rates = batched_sweep(training, *attack);
+  for (std::size_t j = 0; j < rates.thresholds.size(); ++j) {
+    const double u = stats::utility(rates.fn[j], rates.fp[j], w_);
     if (u > best_u) {
       best_u = u;
-      best_t = t;
+      best_t = rates.thresholds[j];
     }
   }
   return best_t;

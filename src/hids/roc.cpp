@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "hids/heuristics.hpp"
-#include "stats/kernels.hpp"
 #include "util/error.hpp"
 
 namespace monohids::hids {
@@ -14,38 +13,22 @@ std::vector<RocPoint> roc_curve(const stats::EmpiricalDistribution& benign,
   MONOHIDS_EXPECT(!benign.empty(), "ROC needs benign observations");
   MONOHIDS_EXPECT(!attack.sizes.empty(), "ROC needs an attack model");
 
-  if (stats::kernels::batching_enabled()) {
-    // Compute on the ascending candidate sweep (one exceedance merge-scan +
-    // one rank_grid pass), then emit points descending as the curve expects.
-    // Each point's rates are bit-identical to the per-threshold calls.
-    const auto ascending = candidate_thresholds(benign);
-    std::vector<double> fp(ascending.size());
-    std::vector<double> fn(ascending.size());
-    benign.exceedance_batch(ascending, fp);
-    attack.mean_fn_batch(benign, ascending, fn);
-
-    std::vector<RocPoint> curve;
-    curve.reserve(ascending.size());
-    for (std::size_t j = ascending.size(); j-- > 0;) {
-      RocPoint p;
-      p.threshold = ascending[j];
-      p.fp_rate = fp[j];
-      p.tp_rate = 1.0 - fn[j];
-      curve.push_back(p);
-    }
-    return curve;
-  }
-
-  auto thresholds = candidate_thresholds(benign);
-  std::sort(thresholds.begin(), thresholds.end(), std::greater<>());  // descending
+  // Compute on the ascending candidate sweep (one exceedance merge-scan +
+  // one rank_grid pass), then emit points descending as the curve expects.
+  // Each point's rates are bit-identical to the per-threshold calls.
+  const auto ascending = candidate_thresholds(benign);
+  std::vector<double> fp(ascending.size());
+  std::vector<double> fn(ascending.size());
+  benign.exceedance_batch(ascending, fp);
+  attack.mean_fn_batch(benign, ascending, fn);
 
   std::vector<RocPoint> curve;
-  curve.reserve(thresholds.size());
-  for (double t : thresholds) {
+  curve.reserve(ascending.size());
+  for (std::size_t j = ascending.size(); j-- > 0;) {
     RocPoint p;
-    p.threshold = t;
-    p.fp_rate = benign.exceedance(t);
-    p.tp_rate = 1.0 - attack.mean_fn(benign, t);
+    p.threshold = ascending[j];
+    p.fp_rate = fp[j];
+    p.tp_rate = 1.0 - fn[j];
     curve.push_back(p);
   }
   return curve;

@@ -19,9 +19,7 @@ EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples) {
   // Traffic-count features are small non-negative integers, where the
   // kernels' counting sweep sorts in O(n + K); anything else falls back to
   // comparison sort. Both produce the same ascending multiset bit-for-bit.
-  if (!kernels::batching_enabled() || !kernels::sort_counts(samples)) {
-    std::sort(samples.begin(), samples.end());
-  }
+  if (!kernels::sort_counts(samples)) std::sort(samples.begin(), samples.end());
   auto arena = std::make_shared<const std::vector<double>>(std::move(samples));
   sorted_ = std::span<const double>(*arena);
   storage_ = std::move(arena);
@@ -50,7 +48,6 @@ EmpiricalDistribution EmpiricalDistribution::view_of_sorted(std::span<const doub
 }
 
 void EmpiricalDistribution::maybe_build_rank_table() {
-  if (!kernels::batching_enabled()) return;
   std::vector<std::uint32_t> cum;
   if (kernels::build_rank_table(sorted_, cum)) {
     rank_table_ = std::make_shared<const std::vector<std::uint32_t>>(std::move(cum));
@@ -103,7 +100,7 @@ void EmpiricalDistribution::rank_batch(std::span<const double> xs,
                                        std::span<std::uint32_t> out) const {
   MONOHIDS_EXPECT(xs.size() == out.size(), "rank_batch output size mismatch");
   if (xs.empty()) return;
-  if (rank_table_ != nullptr && kernels::batching_enabled()) {
+  if (rank_table_ != nullptr) {
     const auto table = std::span<const std::uint32_t>(*rank_table_);
     const auto n = static_cast<std::uint32_t>(sorted_.size());
     for (std::size_t j = 0; j < xs.size(); ++j) {
@@ -175,7 +172,7 @@ void merge_sorted_spans(std::span<const std::span<const double>> parts,
   // Small-integer-valued pools (traffic counts) merge with one counting
   // sweep — O(total + K) instead of O(total log k) heap operations — with
   // bit-identical output; everything else takes the heap path below.
-  if (kernels::batching_enabled() && kernels::counting_merge(parts, out)) return;
+  if (kernels::counting_merge(parts, out)) return;
 
   out.clear();
   std::size_t total = 0;

@@ -1,7 +1,6 @@
 #include "trace/generator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -13,18 +12,6 @@
 namespace monohids::trace {
 
 using util::Timestamp;
-
-namespace {
-std::atomic<bool> g_batched_generation{true};
-}  // namespace
-
-bool batched_generation_enabled() noexcept {
-  return g_batched_generation.load(std::memory_order_relaxed);
-}
-
-void set_batched_generation_enabled(bool enabled) noexcept {
-  g_batched_generation.store(enabled, std::memory_order_relaxed);
-}
 
 TraceGenerator::TraceGenerator(GeneratorConfig config) : config_(config) {
   MONOHIDS_EXPECT(config_.weeks > 0, "generator horizon must cover at least one week");
@@ -57,8 +44,7 @@ DestinationPools TraceGenerator::make_pools(const UserProfile& user) const {
 
 features::FeatureMatrix TraceGenerator::generate_features(const UserProfile& user) const {
   if (config_.scenario_version == ScenarioVersion::V2) return generate_features_v2(user);
-  if (batched_generation_enabled()) return generate_features_batched(user);
-  return generate_features_reference(user);
+  return generate_features_batched(user);
 }
 
 features::FeatureMatrix TraceGenerator::generate_features_reference(

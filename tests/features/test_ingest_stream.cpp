@@ -1,12 +1,14 @@
 // Streaming-ingest differential tests: pushing a trace through IngestSession
 // in any batch partition must be byte-identical to the seed batch pipeline
-// (extract_features_reference) — same FeatureMatrix, same FlowTableStats.
+// (oracles::extract_features_reference) — same FeatureMatrix, same
+// FlowTableStats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "features/pipeline.hpp"
+#include "oracles/pipeline_ref.hpp"
 #include "stats/sampling.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -90,7 +92,7 @@ TEST_P(IngestStreamDifferential, AnyBatchPartitionMatchesReference) {
   const std::vector<net::PacketRecord> trace =
       random_trace(seed, seed % 11 == 0 ? 4000 : 600, config.horizon);
 
-  const PipelineResult expected = extract_features_reference(kHost, trace, config);
+  const PipelineResult expected = oracles::extract_features_reference(kHost, trace, config);
 
   util::Xoshiro256 rng(seed ^ 0x9e3779b97f4a7c15ULL);
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{64},
@@ -114,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IngestStreamDifferential,
 TEST(IngestStream, OneShotExtractMatchesReference) {
   const PipelineConfig config = small_config();
   const std::vector<net::PacketRecord> trace = random_trace(7, 2000, config.horizon);
-  const PipelineResult expected = extract_features_reference(kHost, trace, config);
+  const PipelineResult expected = oracles::extract_features_reference(kHost, trace, config);
   const PipelineResult got = extract_features(kHost, trace, config);
   expect_matrix_eq(got.matrix, expected.matrix);
   EXPECT_EQ(got.flow_stats, expected.flow_stats);
@@ -138,7 +140,7 @@ TEST(IngestStream, FlushEdgeBinsMatchReference) {
   p.timestamp = config.horizon - 1;
   trace.push_back(p);
 
-  const PipelineResult expected = extract_features_reference(kHost, trace, config);
+  const PipelineResult expected = oracles::extract_features_reference(kHost, trace, config);
   IngestSession session(kHost, config);
   for (const auto& packet : trace) session.push(packet);
   const PipelineResult got = session.finish();
@@ -168,7 +170,7 @@ TEST(IngestStream, IdleTimeoutAcrossLongGapMatchesReference) {
   late.timestamp = util::kMicrosPerHour;  // all UDP flows long expired
   trace.push_back(late);
 
-  const PipelineResult expected = extract_features_reference(kHost, trace, config);
+  const PipelineResult expected = oracles::extract_features_reference(kHost, trace, config);
   IngestSession session(kHost, config);
   session.on_batch(trace);
   const PipelineResult got = session.finish();

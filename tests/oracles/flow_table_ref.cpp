@@ -1,10 +1,12 @@
-#include "net/flow_table_ref.hpp"
+#include "oracles/flow_table_ref.hpp"
 
 #include <algorithm>
 
 #include "util/error.hpp"
 
-namespace monohids::net {
+namespace monohids::oracles {
+
+using namespace net;
 
 ReferenceFlowTable::ReferenceFlowTable(Ipv4Address monitored, FlowTableConfig config)
     : monitored_(monitored), config_(config) {
@@ -149,4 +151,4 @@ std::vector<FlowEvent> ReferenceFlowTable::drain_events() {
   return out;
 }
 
-}  // namespace monohids::net
+}  // namespace monohids::oracles

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "oracles/kernels.hpp"
 #include "stats/empirical.hpp"
 #include "stats/kernels.hpp"
 #include "util/error.hpp"
@@ -21,17 +22,10 @@ namespace {
 
 using kernels::Backend;
 
-/// Restores startup dispatch and batching mode however a test exits.
+/// Restores startup dispatch however a test exits.
 class DispatchGuard {
  public:
-  DispatchGuard() : batching_(kernels::batching_enabled()) {}
-  ~DispatchGuard() {
-    kernels::reset_backend();
-    kernels::set_batching_enabled(batching_);
-  }
-
- private:
-  bool batching_;
+  ~DispatchGuard() { kernels::reset_backend(); }
 };
 
 std::vector<Backend> available_backends() {
@@ -86,20 +80,6 @@ TEST(KernelDispatch, BackendNamesMatchTables) {
   for (Backend b : available_backends()) {
     EXPECT_EQ(std::string(kernels::ops_for(b)->name), kernels::backend_name(b));
   }
-}
-
-TEST(KernelDispatch, ScopedBatchModeRestores) {
-  const bool before = kernels::batching_enabled();
-  {
-    kernels::ScopedBatchMode off(false);
-    EXPECT_FALSE(kernels::batching_enabled());
-    {
-      kernels::ScopedBatchMode on(true);
-      EXPECT_TRUE(kernels::batching_enabled());
-    }
-    EXPECT_FALSE(kernels::batching_enabled());
-  }
-  EXPECT_EQ(kernels::batching_enabled(), before);
 }
 
 // --- Tie handling -----------------------------------------------------------
@@ -289,13 +269,33 @@ TEST(KernelCountingPaths, CountingMergeMatchesHeapMerge) {
 
   std::vector<double> counted;
   ASSERT_TRUE(kernels::counting_merge(parts, counted));
+  EXPECT_EQ(counted, oracles::merge_sorted(parts));
+}
 
-  std::vector<double> heap_merged;
-  {
-    kernels::ScopedBatchMode off(false);
-    merge_sorted_spans(parts, heap_merged);
+TEST(KernelCountingPaths, FractionalMergeTakesTheHeapPathAndMatchesOracle) {
+  // Fractional samples fail the counting criterion, so merge_sorted_spans
+  // copies one part, std::merges two, and heap-merges three or more.
+  DispatchGuard guard;
+  util::Xoshiro256 rng(37);
+  std::vector<std::vector<double>> storage;
+  for (int p = 0; p < 5; ++p) {
+    std::vector<double> part(150 + 40 * p);
+    for (double& v : part) v = static_cast<double>(rng() % 50) + rng.uniform01();
+    std::sort(part.begin(), part.end());
+    storage.push_back(std::move(part));
   }
-  EXPECT_EQ(counted, heap_merged);
+  for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+    std::vector<std::span<const double>> parts(storage.begin(), storage.begin() + k);
+    std::vector<double> rejected;
+    ASSERT_FALSE(kernels::counting_merge(parts, rejected)) << k << " parts";
+    const std::vector<double> expected = oracles::merge_sorted(parts);
+    for (Backend b : available_backends()) {
+      ASSERT_TRUE(kernels::force_backend(b));
+      std::vector<double> merged{-1.0};  // stale contents must be cleared
+      merge_sorted_spans(parts, merged);
+      EXPECT_EQ(merged, expected) << k << " parts on " << kernels::backend_name(b);
+    }
+  }
 }
 
 TEST(KernelCountingPaths, CountingMergeRejectsNonCountData) {
@@ -360,8 +360,6 @@ TEST(KernelRankTable, RejectsNonCountData) {
 }
 
 TEST(KernelRankTable, EmpiricalDistributionBuildsAndUsesTable) {
-  DispatchGuard guard;
-  kernels::set_batching_enabled(true);
   std::vector<double> samples;
   for (int i = 0; i < 200; ++i) samples.push_back(static_cast<double>(i % 13));
 
@@ -374,11 +372,6 @@ TEST(KernelRankTable, EmpiricalDistributionBuildsAndUsesTable) {
   for (std::size_t j = 0; j < queries.size(); ++j) {
     EXPECT_EQ(batched[j], dist.cdf(queries[j])) << "q=" << queries[j];
   }
-
-  // Built with batching disabled, the table is skipped entirely.
-  kernels::set_batching_enabled(false);
-  const EmpiricalDistribution seed{std::vector<double>(samples)};
-  EXPECT_TRUE(seed.rank_table().empty());
 }
 
 TEST(KernelWiden, WidenU32IsExactOnEveryBackend) {
@@ -406,8 +399,6 @@ TEST(KernelWiden, WidenU32IsExactOnEveryBackend) {
 }
 
 TEST(KernelRankTable, ViewBuildsTableOnlyWhenRequested) {
-  DispatchGuard guard;
-  kernels::set_batching_enabled(true);
   std::vector<double> sorted(128);
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     sorted[i] = static_cast<double>(i / 4);

@@ -1,6 +1,7 @@
 // Differential suite for the batched feature-generation pipeline: the
-// batched path must be BIT-identical to the preserved reference path for
-// every profile, grid (divisible by the week or not), horizon, kernel
+// production V1 path (generate_features) must be BIT-identical to the
+// preserved reference path (generate_features_reference, called directly)
+// for every profile, grid (divisible by the week or not), horizon, kernel
 // back-end and thread count. Identity is checked with memcmp over the raw
 // bin storage — not approximate comparison — because scenario digests,
 // AnalysisCache keys and every downstream experiment depend on exact bytes.
@@ -28,12 +29,6 @@ void expect_bit_identical(const features::FeatureMatrix& a,
   }
 }
 
-features::FeatureMatrix render(const TraceGenerator& gen, const UserProfile& u,
-                               bool batched) {
-  ScopedGenerationMode mode(batched);
-  return gen.generate_features(u);
-}
-
 TEST(BatchedGenerator, BitIdenticalToReferenceAcross200SeededCases) {
   // 25 users x {1, 2} weeks x 4 grid widths = 200 cases. 15- and 35-minute
   // bins divide the week (the batched path's weekly-periodic rate tables);
@@ -53,8 +48,8 @@ TEST(BatchedGenerator, BitIdenticalToReferenceAcross200SeededCases) {
       config.grid = util::BinGrid::minutes(width_minutes);
       const TraceGenerator gen(config);
       for (const UserProfile& u : users) {
-        const auto reference = render(gen, u, false);
-        const auto batched = render(gen, u, true);
+        const auto reference = gen.generate_features_reference(u);
+        const auto batched = gen.generate_features(u);
         expect_bit_identical(reference, batched, "case");
         ++cases;
       }
@@ -64,15 +59,20 @@ TEST(BatchedGenerator, BitIdenticalToReferenceAcross200SeededCases) {
 }
 
 TEST(BatchedGenerator, DisabledModeUsesTheReferencePath) {
+  // There is no mode switch any more: the reference path is reached only by
+  // calling it, and calling it leaves the production path untouched —
+  // generate_features still renders the same bytes afterwards.
   PopulationConfig pc;
   pc.user_count = 2;
   const auto users = generate_population(pc);
   GeneratorConfig config;
   config.weeks = 1;
   const TraceGenerator gen(config);
+  const auto before = gen.generate_features(users[1]);
   const auto direct = gen.generate_features_reference(users[1]);
-  const auto dispatched = render(gen, users[1], false);
-  expect_bit_identical(direct, dispatched, "reference dispatch");
+  const auto after = gen.generate_features(users[1]);
+  expect_bit_identical(direct, before, "reference vs production");
+  expect_bit_identical(before, after, "production before vs after");
 }
 
 TEST(BatchedGenerator, BitIdenticalAcrossKernelBackends) {
@@ -86,9 +86,9 @@ TEST(BatchedGenerator, BitIdenticalAcrossKernelBackends) {
   const TraceGenerator gen(config);
 
   for (const UserProfile& u : users) {
-    const auto native = render(gen, u, true);
+    const auto native = gen.generate_features(u);
     ASSERT_TRUE(stats::kernels::force_backend(stats::kernels::Backend::Scalar));
-    const auto scalar = render(gen, u, true);
+    const auto scalar = gen.generate_features(u);
     stats::kernels::reset_backend();
     expect_bit_identical(native, scalar, "backend");
   }
@@ -96,28 +96,24 @@ TEST(BatchedGenerator, BitIdenticalAcrossKernelBackends) {
 
 TEST(BatchedGenerator, ScenarioBitIdenticalAcrossThreadCountsAndModes) {
   // build_scenario fans users across worker threads; output must not depend
-  // on the thread count or the generation mode.
+  // on the thread count, and must match the reference path rendered per
+  // user over the same population.
   sim::ScenarioConfig config;
   config.set_users(12);
   config.set_weeks(1);
   config.set_seed(4242);
 
   config.threads = 1;
-  ScopedGenerationMode reference_mode(false);
-  const auto serial_reference = sim::build_scenario(config);
-  {
-    ScopedGenerationMode batched_mode(true);
-    config.threads = 1;
-    const auto serial_batched = sim::build_scenario(config);
-    config.threads = 3;
-    const auto threaded_batched = sim::build_scenario(config);
-    ASSERT_EQ(serial_reference.matrices.size(), serial_batched.matrices.size());
-    for (std::size_t i = 0; i < serial_reference.matrices.size(); ++i) {
-      expect_bit_identical(serial_reference.matrices[i], serial_batched.matrices[i],
-                           "serial");
-      expect_bit_identical(serial_reference.matrices[i], threaded_batched.matrices[i],
-                           "threaded");
-    }
+  const auto serial = sim::build_scenario(config);
+  config.threads = 3;
+  const auto threaded = sim::build_scenario(config);
+  const TraceGenerator gen(config.generator);
+  ASSERT_EQ(serial.matrices.size(), serial.users.size());
+  ASSERT_EQ(threaded.matrices.size(), serial.users.size());
+  for (std::size_t i = 0; i < serial.users.size(); ++i) {
+    const auto reference = gen.generate_features_reference(serial.users[i]);
+    expect_bit_identical(reference, serial.matrices[i], "serial");
+    expect_bit_identical(reference, threaded.matrices[i], "threaded");
   }
 }
 
