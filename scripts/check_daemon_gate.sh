@@ -6,7 +6,7 @@
 # the batch pipeline), and this script adds the operational gates:
 #
 #   - inline drain throughput must stay above MIN_PKTS_PER_SEC: the pure
-#     processing path (flow table -> extractor -> bin scan -> learner) must
+#     processing path (flow table -> extractor -> bin scan -> rollover) must
 #     keep up with capture; a regression here means the agent falls behind
 #     live traffic and the bounded queue starts shedding coverage.
 #   - pcap drain throughput must stay above MIN_PCAP_PKTS_PER_SEC: the same

@@ -115,4 +115,9 @@ double max_observed_value(std::span<const stats::EmpiricalDistribution> users) {
   return best;
 }
 
+AttackModel training_attack_sweep(std::span<const stats::EmpiricalDistribution> train,
+                                  std::uint32_t steps) {
+  return log_attack_sweep(1.0, std::max(2.0, max_observed_value(train)), steps);
+}
+
 }  // namespace monohids::hids

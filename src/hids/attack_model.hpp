@@ -50,4 +50,11 @@ struct AttackModel {
 [[nodiscard]] double max_observed_value(
     std::span<const stats::EmpiricalDistribution> users);
 
+/// The evaluation's attack sweep for one training week: `steps` log-spaced
+/// sizes from 1 up to max_observed_value(train) (at least 2). Log spacing
+/// gives stealthy sizes proportionally more grid weight than the trivially
+/// detected giants near the global maximum.
+[[nodiscard]] AttackModel training_attack_sweep(
+    std::span<const stats::EmpiricalDistribution> train, std::uint32_t steps);
+
 }  // namespace monohids::hids

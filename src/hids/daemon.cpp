@@ -1,17 +1,15 @@
 #include "hids/daemon.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <utility>
 
+#include "stats/quantile.hpp"
 #include "util/error.hpp"
 
 namespace monohids::hids {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Console week capacity: every whole-or-partial week of the horizon, plus
 /// one so a flush landing exactly at the horizon boundary still bins.
@@ -39,15 +37,9 @@ Daemon::Daemon(DaemonConfig config)
   MONOHIDS_EXPECT(config_.percentile > 0.0 && config_.percentile < 1.0,
                   "daemon percentile must lie in (0, 1)");
 
-  active_thresholds_.fill(kInf);  // week 0 / warm-up: never alarm
-  if (config_.mode == ThresholdMode::WeeklyRollover) {
-    week_learner_ = std::make_unique<OnlineThresholdLearner>(
-        config_.percentile, config_.estimator, config_.gk_epsilon);
-  } else {
-    rolling_.reserve(features::kFeatureCount);
-    for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-      rolling_.emplace_back(config_.rolling);
-    }
+  active_thresholds_.fill(std::numeric_limits<double>::infinity());  // warm-up: never alarm
+  if (config_.mode == ThresholdMode::Rolling) {
+    rolling_.assign(features::kFeatureCount, RollingThresholdLearner(config_.rolling));
   }
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
@@ -82,8 +74,16 @@ Daemon::~Daemon() {
 }
 
 void Daemon::on_batch(std::span<const net::PacketRecord> batch) {
+  (void)enqueue(batch, /*block=*/true);
+}
+
+bool Daemon::offer(std::span<const net::PacketRecord> batch) {
+  return enqueue(batch, /*block=*/false);
+}
+
+bool Daemon::enqueue(std::span<const net::PacketRecord> batch, bool block) {
   MONOHIDS_EXPECT(!finished_, "daemon already finished");
-  if (batch.empty()) return;
+  if (batch.empty()) return true;
 
   if (config_.deliver_inline) {
     {
@@ -92,41 +92,18 @@ void Daemon::on_batch(std::span<const net::PacketRecord> batch) {
     }
     m_batches_.inc();
     ingest(batch);
-    return;
+    return true;
   }
 
   std::vector<net::PacketRecord> copy(batch.begin(), batch.end());
   std::size_t depth = 0;
   {
     std::unique_lock<std::mutex> lock(queue_mu_);
-    queue_space_.wait(lock,
-                      [this] { return queue_.size() < config_.queue_capacity || stopping_; });
-    if (stopping_) return;  // shutting down: late batch is dropped silently
-    queue_.push_back(std::move(copy));
-    depth = queue_.size();
-  }
-  queue_ready_.notify_one();
-  m_batches_.inc();
-  m_queue_depth_.set(static_cast<std::int64_t>(depth));
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    ++stats_.batches_enqueued;
-    if (depth > stats_.queue_peak) stats_.queue_peak = depth;
-  }
-}
-
-bool Daemon::offer(std::span<const net::PacketRecord> batch) {
-  MONOHIDS_EXPECT(!finished_, "daemon already finished");
-  if (batch.empty()) return true;
-  if (config_.deliver_inline) {
-    on_batch(batch);
-    return true;
-  }
-
-  std::size_t depth = 0;
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    if (queue_.size() >= config_.queue_capacity) {
+    if (block) {
+      queue_space_.wait(
+          lock, [this] { return queue_.size() < config_.queue_capacity || stopping_; });
+      if (stopping_) return false;  // shutting down: late batch is dropped silently
+    } else if (queue_.size() >= config_.queue_capacity) {
       lock.unlock();
       m_dropped_batches_.inc();
       std::lock_guard<std::mutex> state(state_mu_);
@@ -134,7 +111,7 @@ bool Daemon::offer(std::span<const net::PacketRecord> batch) {
       stats_.packets_dropped += batch.size();
       return false;
     }
-    queue_.emplace_back(batch.begin(), batch.end());
+    queue_.push_back(std::move(copy));
     depth = queue_.size();
   }
   queue_ready_.notify_one();
@@ -192,25 +169,23 @@ void Daemon::ingest(std::span<const net::PacketRecord> batch) {
 
   // Order filter: the feature pipeline requires time-ordered input; a live
   // capture can deliver the odd regressed timestamp (e.g. after a clock
-  // step). Those packets are skipped and counted, never fatal.
+  // step). Those packets are skipped and counted, never fatal. An in-order
+  // batch goes to the session as is; only from the first regressed packet
+  // on are the survivors copied into filtered_.
   std::uint64_t out_of_order = 0;
-  filtered_.clear();
-  for (const net::PacketRecord& packet : batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const net::PacketRecord& packet = batch[i];
     if (saw_packet_ && packet.timestamp < last_ts_) {
-      ++out_of_order;
+      if (out_of_order++ == 0) filtered_.assign(batch.begin(), batch.begin() + i);
       continue;
     }
     last_ts_ = packet.timestamp;
     saw_packet_ = true;
-    filtered_.push_back(packet);
+    if (out_of_order != 0) filtered_.push_back(packet);
   }
-  if (!filtered_.empty()) {
-    if (out_of_order == 0) {
-      session_.on_batch(batch);
-    } else {
-      session_.on_batch(filtered_);
-    }
-  }
+  const std::span<const net::PacketRecord> in_order =
+      out_of_order == 0 ? batch : std::span<const net::PacketRecord>(filtered_);
+  if (!in_order.empty()) session_.on_batch(in_order);
   const std::uint64_t ingested = batch.size() - out_of_order;
   m_packets_.add(ingested);
   if (out_of_order != 0) m_out_of_order_.add(out_of_order);
@@ -240,36 +215,29 @@ void Daemon::scan_bins(const features::FeatureMatrix& matrix, std::uint64_t limi
 
   for (std::uint64_t bin = scanned_bins_; bin < limit; ++bin) {
     const std::uint32_t week = static_cast<std::uint32_t>(bin / bins_per_week_);
-    if (week > learner_week_) {
+    if (week > scan_week_) {
       // First bin of a new week: thresholds for `week` derive from the week
       // just finished, before this bin is alarm-checked — the incremental
       // form of the batch train-on-week-k / test-on-week-k+1 split.
-      roll_week(learner_week_);
-      learner_week_ = week;
+      roll_week(matrix, scan_week_);
+      scan_week_ = week;
     }
 
+    // Only this thread writes active_thresholds_, so it reads them unlocked.
+    std::array<double, features::kFeatureCount> refreshed{};
     for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
       const double value = series[i][bin];
-      double threshold_in_force;
-      if (config_.mode == ThresholdMode::WeeklyRollover) {
-        threshold_in_force = active_thresholds_[i];
-        if (value > threshold_in_force) {
-          emit_alert(features::kAllFeatures[i], bin, value, threshold_in_force);
-        }
-        week_learner_->observe(features::kAllFeatures[i], value);
-      } else {
-        threshold_in_force = rolling_[i].threshold();
-        if (value > threshold_in_force) {
-          emit_alert(features::kAllFeatures[i], bin, value, threshold_in_force);
-        }
+      if (value > active_thresholds_[i]) {
+        emit_alert(features::kAllFeatures[i], bin, value, active_thresholds_[i]);
+      }
+      if (config_.mode == ThresholdMode::Rolling) {
         rolling_[i].observe(value);
+        refreshed[i] = rolling_[i].threshold();
       }
     }
     if (config_.mode == ThresholdMode::Rolling) {
       std::lock_guard<std::mutex> lock(state_mu_);
-      for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-        active_thresholds_[i] = rolling_[i].threshold();
-      }
+      active_thresholds_ = refreshed;
     }
   }
 
@@ -283,30 +251,23 @@ void Daemon::scan_bins(const features::FeatureMatrix& matrix, std::uint64_t limi
   }
 }
 
-void Daemon::roll_week(std::uint32_t completed_week) {
+void Daemon::roll_week(const features::FeatureMatrix& matrix, std::uint32_t completed_week) {
   ThresholdUpdate update;
   update.week = completed_week + 1;
+  update.thresholds = active_thresholds_;  // Rolling: the window's current view
   if (config_.mode == ThresholdMode::WeeklyRollover) {
+    // The batch policy trains on exactly one week: the finished week's
+    // slice, sealed and final in the matrix by now.
     for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-      const features::FeatureKind f = features::kAllFeatures[i];
-      update.thresholds[i] =
-          week_learner_->observations(f) > 0 ? week_learner_->threshold(f) : kInf;
-    }
-    // Fresh learner for the week now starting: the batch policy trains on
-    // exactly one week, so the incremental learner must too.
-    week_learner_ = std::make_unique<OnlineThresholdLearner>(
-        config_.percentile, config_.estimator, config_.gk_epsilon);
-  } else {
-    for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-      update.thresholds[i] = rolling_[i].threshold();
+      update.thresholds[i] = stats::quantile_nearest_rank(
+          matrix.of(features::kAllFeatures[i]).week_slice(completed_week),
+          config_.percentile);
     }
   }
 
   m_rollovers_.inc();
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (config_.mode == ThresholdMode::WeeklyRollover) {
-    active_thresholds_ = update.thresholds;
-  }
+  active_thresholds_ = update.thresholds;
   updates_.push_back(update);
   ++stats_.rollovers;
 }
@@ -345,8 +306,8 @@ DaemonResult Daemon::finish() {
 
   // Flush the flow table exactly like the batch pipeline, then scan every
   // bin the live watermark had not reached — including trailing all-zero
-  // bins, so weekly learners see full week slices and rollover accounting
-  // matches the batch train/test split bin for bin.
+  // bins, so every week slice is complete and rollover accounting matches
+  // the batch train/test split bin for bin.
   features::PipelineResult pipeline = session_.finish();
   const std::uint64_t total_bins =
       pipeline.matrix.of(features::FeatureKind::TcpConnections).values().size();

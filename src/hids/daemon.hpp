@@ -6,13 +6,13 @@
 // incrementally (pcap import, live capture shim, or a replayed synthetic
 // trace), drives features::IngestSession batches through the
 // net::FlowTable, alarm-checks every *completed* feature bin against the
-// thresholds in force, feeds the same bins into the streaming threshold
-// learners (hids::OnlineThresholdLearner / hids::RollingThresholdLearner),
-// re-derives thresholds at week rollover exactly the way the batch policy
-// pipeline trains week k and tests week k+1, and ships alerts through an
-// AlertBatcher into a CentralConsole. Process telemetry goes to the obs
-// registry (daemon.* metrics); obs::write_global_prometheus is the scrape
-// surface.
+// thresholds in force, re-derives thresholds at week rollover from the
+// sealed week slice of the live feature matrix exactly the way the batch
+// policy pipeline trains week k and tests week k+1 (Rolling mode instead
+// feeds each bin to a hids::RollingThresholdLearner), and ships alerts
+// through an AlertBatcher into a CentralConsole. Process telemetry goes to
+// the obs registry (daemon.* metrics); obs::write_global_prometheus is the
+// scrape surface.
 //
 // Concurrency model: one capture side (any thread) and one worker thread.
 // The capture side never blocks on ingest — offer() enqueues a batch into a
@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -46,7 +45,6 @@
 #include "features/pipeline.hpp"
 #include "hids/alerts.hpp"
 #include "hids/console.hpp"
-#include "hids/online_learner.hpp"
 #include "hids/rolling_learner.hpp"
 #include "obs/metrics.hpp"
 #include "trace/pcap.hpp"
@@ -72,12 +70,10 @@ struct DaemonConfig {
   features::PipelineConfig pipeline;
 
   ThresholdMode mode = ThresholdMode::WeeklyRollover;
-  /// Training percentile for WeeklyRollover (the IT-survey 99th).
+  /// Training percentile for WeeklyRollover (the IT-survey 99th): each
+  /// rollover takes the nearest-rank quantile of the finished week's bins,
+  /// bit for bit the batch PercentileHeuristic threshold.
   double percentile = 0.99;
-  /// Estimator backing the weekly learner. Exact reproduces the batch
-  /// thresholds bit for bit; Gk/P2 bound memory on huge weeks.
-  EstimatorKind estimator = EstimatorKind::Exact;
-  double gk_epsilon = 0.005;
   /// Rolling-mode learner parameters (window, percentile, alarm guard).
   RollingLearnerConfig rolling;
 
@@ -180,13 +176,19 @@ class Daemon final : public features::PacketSink {
 
  private:
   void worker_loop();
+  /// The one feed behind on_batch (block: wait for queue room) and offer
+  /// (no block: drop and count when full). Inline daemons ingest at once.
+  /// Returns false when the batch was not accepted.
+  bool enqueue(std::span<const net::PacketRecord> batch, bool block);
   /// Ingests one batch on the consumer side: order-filter, flow table,
   /// extractor, then scans newly completed bins.
   void ingest(std::span<const net::PacketRecord> batch);
-  /// Alarm-checks and learns bins [scanned_bins_, limit) of `matrix`.
+  /// Alarm-checks bins [scanned_bins_, limit) of `matrix` against the
+  /// thresholds in force; Rolling mode then learns each bin.
   void scan_bins(const features::FeatureMatrix& matrix, std::uint64_t limit);
-  /// WeeklyRollover: derive next week's thresholds from the finished week.
-  void roll_week(std::uint32_t completed_week);
+  /// Records the thresholds for week `completed_week + 1`. WeeklyRollover
+  /// derives them from that week's (sealed) slice of `matrix`.
+  void roll_week(const features::FeatureMatrix& matrix, std::uint32_t completed_week);
   void emit_alert(features::FeatureKind feature, std::uint64_t bin, double observed,
                   double threshold_in_force);
 
@@ -196,14 +198,13 @@ class Daemon final : public features::PacketSink {
 
   // ---- consumer-side state (worker thread, or caller when inline) ----
   features::IngestSession session_;
-  std::unique_ptr<OnlineThresholdLearner> week_learner_;  // WeeklyRollover
-  std::vector<RollingThresholdLearner> rolling_;          // Rolling (one per feature)
+  std::vector<RollingThresholdLearner> rolling_;  // Rolling (one per feature)
   AlertBatcher batcher_;
   util::Timestamp last_ts_ = 0;   ///< order filter watermark
   bool saw_packet_ = false;
   std::vector<net::PacketRecord> filtered_;  ///< reused order-filter scratch
   std::uint64_t scanned_bins_ = 0;
-  std::uint32_t learner_week_ = 0;  ///< week the weekly learner is observing
+  std::uint32_t scan_week_ = 0;  ///< week of the last scanned bin
 
   // ---- shared state (guarded by state_mu_) ----
   mutable std::mutex state_mu_;

@@ -1,6 +1,5 @@
 #include "sim/analysis_cache.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -112,12 +111,8 @@ std::shared_ptr<const hids::AttackModel> AnalysisCache::attack_model(
   const AttackKey key{features::index_of(feature), train_week, steps};
   return get_or_compute(attacks_, key, [&]() {
     const auto train = week(feature, train_week, threads);
-    const double max_size = hids::max_observed_value(*train);
-    // Log spacing: stealthy sizes get proportionally more grid weight than
-    // the trivially-detected giants near the global maximum (see
-    // sim::make_attack_model).
     return std::make_shared<const hids::AttackModel>(
-        hids::log_attack_sweep(1.0, std::max(2.0, max_size), steps));
+        hids::training_attack_sweep(*train, steps));
   });
 }
 

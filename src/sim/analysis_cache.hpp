@@ -51,8 +51,8 @@ class AnalysisCache final : public hids::DistributionCache {
       const hids::Grouper& grouper, const hids::ThresholdHeuristic& heuristic,
       const hids::AttackModel* attack, unsigned threads = 0) override;
 
-  /// Memoized sim::make_attack_model: log sweep bounded by the maximum
-  /// observed training value of `feature` in `train_week`.
+  /// Memoized sim::make_attack_model: hids::training_attack_sweep over
+  /// `feature` in `train_week`.
   [[nodiscard]] std::shared_ptr<const hids::AttackModel> attack_model(
       features::FeatureKind feature, std::uint32_t train_week, std::uint32_t steps = 64,
       unsigned threads = 0);

@@ -33,7 +33,7 @@ std::vector<EvaluationRound> canonical_rounds() {
 AttackModel make_attack_model(const Scenario& scenario, FeatureKind feature,
                               std::uint32_t train_week, std::uint32_t steps) {
   // Memoized in the scenario's analysis cache (the log-spacing rationale
-  // lives there): every runner that sweeps the same (feature, week) shares
+  // lives at hids::training_attack_sweep): every runner that sweeps the same (feature, week) shares
   // one model, which also keeps threshold-assignment cache keys aligned.
   return *scenario.analysis().attack_model(feature, train_week, steps);
 }

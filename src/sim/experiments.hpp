@@ -26,8 +26,9 @@ namespace monohids::sim {
 /// wk4 (0-indexed weeks 0->1, 2->3). Requires a >= 4-week scenario.
 [[nodiscard]] std::vector<hids::EvaluationRound> canonical_rounds();
 
-/// Attack sweep used for FN estimation: linear grid up to the maximum value
-/// any user's training traffic reaches on `feature`.
+/// Attack sweep used for FN estimation: hids::training_attack_sweep, a log
+/// grid up to the maximum value any user's training traffic reaches on
+/// `feature`.
 [[nodiscard]] hids::AttackModel make_attack_model(const Scenario& scenario,
                                                   features::FeatureKind feature,
                                                   std::uint32_t train_week,

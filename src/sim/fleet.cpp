@@ -302,9 +302,8 @@ std::shared_ptr<const hids::AttackModel> FleetAnalysisCache::attack_model(
     features::FeatureKind feature, std::uint32_t train_week, std::uint32_t steps,
     unsigned threads) {
   const auto train = week(feature, train_week, threads);
-  const double max_size = hids::max_observed_value(*train);
   return std::make_shared<const hids::AttackModel>(
-      hids::log_attack_sweep(1.0, std::max(2.0, max_size), steps));
+      hids::training_attack_sweep(*train, steps));
 }
 
 hids::PolicyOutcome evaluate_fleet_policy(const FleetScenario& fleet,

@@ -187,8 +187,8 @@ class FleetAnalysisCache final : public hids::DistributionCache {
       const hids::Grouper& grouper, const hids::ThresholdHeuristic& heuristic,
       const hids::AttackModel* attack, unsigned threads = 0) override;
 
-  /// Attack sweep bounded by the maximum observed training value, exactly
-  /// like AnalysisCache::attack_model (but over the compact rows).
+  /// hids::training_attack_sweep over the compact rows, exactly like
+  /// AnalysisCache::attack_model.
   [[nodiscard]] std::shared_ptr<const hids::AttackModel> attack_model(
       features::FeatureKind feature, std::uint32_t train_week,
       std::uint32_t steps = 64, unsigned threads = 0);

@@ -1,6 +1,5 @@
 #include "trace/trace_io.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <istream>
@@ -71,6 +70,19 @@ net::PacketRecord get_record(std::istream& in) {
   return p;
 }
 
+/// The sink behind the in-memory readers: each is its streaming form
+/// appending every batch to one vector.
+class CollectingSink final : public features::PacketSink {
+ public:
+  explicit CollectingSink(std::vector<net::PacketRecord>& out) : out_(&out) {}
+  void on_batch(std::span<const net::PacketRecord> batch) override {
+    out_->insert(out_->end(), batch.begin(), batch.end());
+  }
+
+ private:
+  std::vector<net::PacketRecord>* out_;
+};
+
 }  // namespace
 
 void write_packet_trace(std::ostream& out, const std::vector<net::PacketRecord>& packets) {
@@ -88,24 +100,23 @@ void write_packet_trace(std::ostream& out, const std::vector<net::PacketRecord>&
   }
 }
 
-std::vector<net::PacketRecord> read_packet_trace(std::istream& in) {
-  const std::uint64_t count = read_trace_header(in);
-  std::vector<net::PacketRecord> packets;
-  // The header's count is untrusted input: reserve only a bounded prefix so
-  // a corrupt count fails with "truncated trace file" at the first missing
-  // record instead of a gigantic up-front allocation.
-  constexpr std::uint64_t kMaxTrustedReserve = 1u << 20;
-  packets.reserve(static_cast<std::size_t>(std::min(count, kMaxTrustedReserve)));
-  for (std::uint64_t i = 0; i < count; ++i) packets.push_back(get_record(in));
-  return packets;
-}
-
 std::uint64_t stream_packet_trace(std::istream& in, features::PacketSink& sink,
                                   std::size_t max_batch) {
   const std::uint64_t count = read_trace_header(in);
+  // The header's count is untrusted input: nothing is sized from it. Memory
+  // grows only with records actually decoded, so a corrupt count fails with
+  // "truncated trace file" at the first missing record instead of a
+  // gigantic up-front allocation.
   features::BatchingAdapter batches(sink, max_batch);
   for (std::uint64_t i = 0; i < count; ++i) batches.push(get_record(in));
   return batches.finish();
+}
+
+std::vector<net::PacketRecord> read_packet_trace(std::istream& in) {
+  std::vector<net::PacketRecord> packets;
+  CollectingSink sink(packets);
+  stream_packet_trace(in, sink);
+  return packets;
 }
 
 void write_packet_csv(std::ostream& out, const std::vector<net::PacketRecord>& packets) {
@@ -185,19 +196,6 @@ net::PacketRecord parse_packet_row(const std::vector<std::string>& row) {
 
 }  // namespace
 
-std::vector<net::PacketRecord> read_packet_csv(std::istream& in) {
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  const auto rows = util::csv_parse(text);
-  MONOHIDS_ENSURE(!rows.empty(), "packet CSV is empty");
-  MONOHIDS_ENSURE(is_packet_csv_header(rows[0]),
-                  "packet CSV header does not match the expected format");
-
-  std::vector<net::PacketRecord> packets;
-  packets.reserve(rows.size() - 1);
-  for (std::size_t r = 1; r < rows.size(); ++r) packets.push_back(parse_packet_row(rows[r]));
-  return packets;
-}
-
 std::uint64_t stream_packet_csv(std::istream& in, features::PacketSink& sink,
                                 std::size_t max_batch) {
   std::string line;
@@ -216,6 +214,13 @@ std::uint64_t stream_packet_csv(std::istream& in, features::PacketSink& sink,
   // (badbit mid-file) would otherwise silently truncate the trace.
   MONOHIDS_ENSURE(in.eof(), "I/O error while streaming packet CSV");
   return batches.finish();
+}
+
+std::vector<net::PacketRecord> read_packet_csv(std::istream& in) {
+  std::vector<net::PacketRecord> packets;
+  CollectingSink sink(packets);
+  stream_packet_csv(in, sink);
+  return packets;
 }
 
 void write_feature_csv(std::ostream& out, const features::FeatureMatrix& matrix) {

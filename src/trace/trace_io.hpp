@@ -23,7 +23,8 @@ inline constexpr std::uint32_t kTraceFormatVersion = 1;
 /// Writes packets in the binary trace format.
 void write_packet_trace(std::ostream& out, const std::vector<net::PacketRecord>& packets);
 
-/// Reads a binary trace; throws InputError on malformed input.
+/// Reads a binary trace; throws InputError on malformed input. This is
+/// stream_packet_trace collecting into one vector.
 [[nodiscard]] std::vector<net::PacketRecord> read_packet_trace(std::istream& in);
 
 /// Streaming form of read_packet_trace: decodes records straight into `sink`
@@ -40,13 +41,14 @@ void write_packet_csv(std::ostream& out, const std::vector<net::PacketRecord>& p
 /// write_packet_csv; protocol accepts "tcp"/"udp"/"icmp"). This is the
 /// import path for external traces — convert a pcap with tshark/tcpdump to
 /// this CSV shape and the whole pipeline (flows, features, policies) runs
-/// on real traffic. Throws InputError on malformed rows.
+/// on real traffic. Throws InputError on malformed rows and on a stream
+/// fault mid-file. This is stream_packet_csv collecting into one vector.
 [[nodiscard]] std::vector<net::PacketRecord> read_packet_csv(std::istream& in);
 
 /// Streaming form of read_packet_csv: parses row by row into `sink` in
-/// batches of at most `max_batch` packets. Same format and validation as
-/// read_packet_csv (multi-line quoted fields are not supported — the packet
-/// CSV shape never produces them). Returns the packet count.
+/// batches of at most `max_batch` packets. Blank lines are skipped;
+/// multi-line quoted fields are not supported (the packet CSV shape never
+/// produces them). Returns the packet count.
 std::uint64_t stream_packet_csv(std::istream& in, features::PacketSink& sink,
                                 std::size_t max_batch = features::kDefaultIngestBatch);
 

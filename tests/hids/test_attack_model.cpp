@@ -85,6 +85,19 @@ TEST(AttackModel, MaxObservedValueScansAllUsers) {
   EXPECT_DOUBLE_EQ(max_observed_value(users), 500.0);
 }
 
+TEST(AttackModel, TrainingSweepRunsFromOneToTheTrainingMaximum) {
+  std::vector<EmpiricalDistribution> users;
+  users.emplace_back(std::vector<double>{1.0, 2.0});
+  users.emplace_back(std::vector<double>{500.0});
+  const AttackModel model = training_attack_sweep(users, 16);
+  EXPECT_EQ(model.sizes, log_attack_sweep(1.0, 500.0, 16).sizes);
+
+  // A training week whose maximum is below 2 still sweeps up to 2.
+  std::vector<EmpiricalDistribution> quiet;
+  quiet.emplace_back(std::vector<double>{0.0, 1.0});
+  EXPECT_EQ(training_attack_sweep(quiet, 8).sizes, log_attack_sweep(1.0, 2.0, 8).sizes);
+}
+
 TEST(AttackModel, AllSilentUsersAreAnError) {
   std::vector<EmpiricalDistribution> users;
   users.emplace_back(std::vector<double>{0.0, 0.0});

@@ -1,9 +1,11 @@
 // Week-rollover regression: the daemon's incrementally re-derived thresholds
 // after N simulated weeks must match the batch-derived thresholds on the
 // same training window — nearest-rank quantiles over whole week slices for
-// WeeklyRollover, the sliding-window quantile for Rolling mode. Also pins
-// the warm-up contract (week 0 never alarms) and the strict value>threshold
-// alarm predicate.
+// WeeklyRollover (also across a forward clock jump over empty weeks and a
+// capture that ends mid-bin), the sliding-window quantile for Rolling mode,
+// whose alarms with the poisoning guard on match a standalone
+// RollingThresholdLearner. Also pins the warm-up contract (week 0 never
+// alarms) and the strict value>threshold alarm predicate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -134,27 +136,81 @@ TEST(DaemonRollover, RollingThresholdAfterNWeeksMatchesTheBatchWindow) {
   }
 }
 
-TEST(DaemonRollover, StreamingEstimatorsStayCloseToExact) {
-  // P2 and GK replace the exact buffer for memory-bounded deployments; they
-  // are approximations, so this is a sanity envelope, not bit-identity.
-  const DaemonConfig exact = fixture_config();
-  const DaemonResult exact_result = run(exact);
+TEST(DaemonRollover, RollingGuardAlarmsMatchAStandaloneLearner) {
+  // Default Rolling config: alarming bins stay out of the window (the
+  // poisoning guard), so each feature's alarm set depends on its own history.
+  DaemonConfig config = fixture_config();
+  config.mode = ThresholdMode::Rolling;
+  ASSERT_TRUE(config.rolling.exclude_alarms);
+  Daemon daemon(config);
+  daemon.on_batch(fixture_packets());
+  const DaemonResult result = daemon.finish();
+  const auto batch =
+      features::extract_features(config.monitored, fixture_packets(), config.pipeline);
 
-  for (const EstimatorKind kind : {EstimatorKind::P2, EstimatorKind::Gk}) {
-    SCOPED_TRACE(name_of(kind));
-    DaemonConfig config = fixture_config();
-    config.estimator = kind;
-    const DaemonResult result = run(config);
-    ASSERT_EQ(result.rollovers.size(), exact_result.rollovers.size());
-    for (std::size_t w = 0; w < result.rollovers.size(); ++w) {
-      for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-        const double approx = result.rollovers[w].thresholds[i];
-        const double truth = exact_result.rollovers[w].thresholds[i];
-        EXPECT_TRUE(std::isfinite(approx));
-        EXPECT_NEAR(approx, truth, std::max(5.0, 0.25 * std::abs(truth)))
-            << "week " << result.rollovers[w].week;
-      }
+  for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
+    const features::FeatureKind f = features::kAllFeatures[i];
+    SCOPED_TRACE(features::name_of(f));
+    std::vector<std::uint64_t> expected;
+    RollingThresholdLearner learner(config.rolling);
+    const auto series = batch.matrix.of(f).values();
+    for (std::uint64_t bin = 0; bin < series.size(); ++bin) {
+      if (learner.observe(series[bin])) expected.push_back(bin);
     }
+    std::vector<std::uint64_t> alarmed;
+    for (const Alert& alert : result.alerts) {
+      if (alert.feature == f) alarmed.push_back(alert.bin);
+    }
+    EXPECT_EQ(alarmed, expected);
+    EXPECT_EQ(daemon.threshold(f), learner.threshold());
+  }
+  EXPECT_FALSE(result.alerts.empty()) << "fixture must exercise the guard";
+}
+
+TEST(DaemonRollover, ClockJumpOverEmptyWeeksAndMidBinEndMatchTheBatchSlices) {
+  // Week 0 of traffic, then the clock jumps forward past two empty weeks
+  // into week 3, and the capture (and horizon) ends mid-bin there.
+  DaemonConfig config = fixture_config();
+  const util::Duration width = config.pipeline.grid.width();
+  const util::Timestamp jump_to = 3 * util::kMicrosPerWeek;
+  const util::Timestamp end = jump_to + 2 * util::kMicrosPerDay + 5 * width + width / 2;
+  ASSERT_NE(end % width, 0u);
+  config.pipeline.horizon = end;
+
+  std::vector<net::PacketRecord> packets;
+  for (const net::PacketRecord& p : fixture_packets()) {
+    if (p.timestamp < util::kMicrosPerWeek || (p.timestamp >= jump_to && p.timestamp < end)) {
+      packets.push_back(p);
+    }
+  }
+  ASSERT_GE(packets.back().timestamp, jump_to);
+
+  Daemon daemon(config);
+  constexpr std::size_t kBatch = 1000;
+  for (std::size_t off = 0; off < packets.size(); off += kBatch) {
+    daemon.on_batch(std::span<const net::PacketRecord>(
+        packets.data() + off, std::min(kBatch, packets.size() - off)));
+  }
+  const DaemonResult result = daemon.finish();
+  const auto batch = features::extract_features(config.monitored, packets, config.pipeline);
+
+  // Rollovers into weeks 1, 2 and 3: two of them train on an empty week.
+  ASSERT_EQ(result.rollovers.size(), 3u);
+  for (std::uint32_t w = 1; w <= 3; ++w) {
+    const ThresholdUpdate& update = result.rollovers[w - 1];
+    EXPECT_EQ(update.week, w);
+    for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
+      const auto slice = batch.matrix.of(features::kAllFeatures[i]).week_slice(w - 1);
+      EXPECT_EQ(update.thresholds[i],
+                stats::quantile_nearest_rank(slice, config.percentile))
+          << "week " << w << " " << features::name_of(features::kAllFeatures[i]);
+    }
+  }
+  for (const features::FeatureKind f : features::kAllFeatures) {
+    const auto live = result.pipeline.matrix.of(f).values();
+    const auto want = batch.matrix.of(f).values();
+    EXPECT_TRUE(std::equal(live.begin(), live.end(), want.begin(), want.end()))
+        << features::name_of(f);
   }
 }
 

@@ -165,19 +165,30 @@ class FailingAfterPrefixBuf final : public std::streambuf {
 };
 
 TEST(TraceIoErrors, PacketCsvStreamFaultIsAnErrorNotATruncatedTrace) {
-  // Header plus a few complete rows, then the stream dies. The streaming
-  // reader must report the fault instead of returning the prefix as if the
-  // trace ended there.
+  // Header plus a few complete rows, then the stream dies. Both readers must
+  // report the fault as an InputError instead of returning the prefix as if
+  // the trace ended there.
   const std::string good = packet_csv_bytes();
-  FailingAfterPrefixBuf buf(good);
-  std::istream in(&buf);
-  CountingSink sink;
-  try {
-    (void)stream_packet_csv(in, sink);
-    FAIL() << "stream_packet_csv silently truncated on a stream fault";
-  } catch (const InputError& e) {
-    EXPECT_NE(std::string(e.what()).find("I/O error"), std::string::npos)
-        << "actual message: " << e.what();
+  const auto expect_io_error = [](const char* reader, const auto& read) {
+    SCOPED_TRACE(reader);
+    try {
+      read();
+      FAIL() << reader << " silently truncated on a stream fault";
+    } catch (const InputError& e) {
+      EXPECT_NE(std::string(e.what()).find("I/O error"), std::string::npos)
+          << "actual message: " << e.what();
+    }
+  };
+  {
+    FailingAfterPrefixBuf buf(good);
+    std::istream in(&buf);
+    CountingSink sink;
+    expect_io_error("stream_packet_csv", [&] { (void)stream_packet_csv(in, sink); });
+  }
+  {
+    FailingAfterPrefixBuf buf(good);
+    std::istream in(&buf);
+    expect_io_error("read_packet_csv", [&] { (void)read_packet_csv(in); });
   }
 }
 
