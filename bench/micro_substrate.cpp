@@ -4,6 +4,8 @@
 // and the trace generators.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "features/pipeline.hpp"
 #include "hids/evaluator.hpp"
 #include "sim/scenario.hpp"
@@ -211,6 +213,79 @@ void BM_KernelRankGrid(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * ranks.size()));
 }
 BENCHMARK(BM_KernelRankGrid)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Fleet row shape: 24-point compact rows (~20 distinct counts each, so
+// T ~ 21 candidate thresholds) against a 32-size attack sweep — the
+// small-arena kernel's home. Each iteration ranks 512 distinct rows, as a
+// fleet pass does: one row repeated would let the branch predictor learn
+// the merge-scan's exits, which no real sweep allows.
+struct FleetRows {
+  std::vector<std::vector<double>> rows;
+  std::vector<std::vector<double>> thresholds;
+  std::size_t queries = 0;  ///< sum of |thresholds| over the rows
+};
+
+FleetRows fleet_rows() {
+  util::Xoshiro256 rng(29);
+  FleetRows out;
+  for (int r = 0; r < 512; ++r) {
+    std::vector<double> row(24);
+    for (double& v : row) v = static_cast<double>(rng() % 60);
+    std::sort(row.begin(), row.end());
+    std::vector<double> candidates;
+    for (double v : row) {
+      if (candidates.empty() || candidates.back() != v) candidates.push_back(v);
+    }
+    candidates.push_back(row.back() + 1.0);
+    out.queries += candidates.size();
+    out.rows.push_back(std::move(row));
+    out.thresholds.push_back(std::move(candidates));
+  }
+  return out;
+}
+
+void BM_KernelRankGridSmallArena(benchmark::State& state) {
+  const FleetRows fleet = fleet_rows();
+  std::vector<double> sizes(32);
+  for (std::size_t i = 0; i < sizes.size(); ++i) sizes[i] = static_cast<double>(i + 1);
+  std::vector<std::uint32_t> ranks(64 * sizes.size());
+  const auto& ops = kernel_backend(state.range(0));
+  state.SetLabel(std::string(ops.name) + " n=24 T~" +
+                 std::to_string(fleet.queries / fleet.rows.size()) + " S=32");
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < fleet.rows.size(); ++r) {
+      ops.rank_grid(fleet.rows[r], fleet.thresholds[r], sizes, ranks.data());
+      benchmark::DoNotOptimize(ranks.data());
+    }
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * fleet.queries * sizes.size()));
+}
+BENCHMARK(BM_KernelRankGridSmallArena)->Arg(0)->Arg(1);
+
+void BM_KernelRankUnsortedSmallArena(benchmark::State& state) {
+  const FleetRows fleet = fleet_rows();
+  // AttackModel::mean_fn's batch: t - size for 32 sizes at one threshold.
+  std::vector<std::vector<double>> queries;
+  for (const auto& candidates : fleet.thresholds) {
+    std::vector<double> q(32);
+    const double t = candidates[candidates.size() / 2];
+    for (std::size_t i = 0; i < q.size(); ++i) q[i] = t - static_cast<double>(i + 1);
+    queries.push_back(std::move(q));
+  }
+  std::vector<std::uint32_t> ranks(32);
+  const auto& ops = kernel_backend(state.range(0));
+  state.SetLabel(std::string(ops.name) + " n=24 t=32");
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < fleet.rows.size(); ++r) {
+      ops.rank_unsorted(fleet.rows[r], queries[r], 0.0, ranks.data());
+      benchmark::DoNotOptimize(ranks.data());
+    }
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * fleet.rows.size() * 32));
+}
+BENCHMARK(BM_KernelRankUnsortedSmallArena)->Arg(0)->Arg(1);
 
 void BM_KernelCountExceed(benchmark::State& state) {
   util::Xoshiro256 rng(19);

@@ -28,10 +28,13 @@ struct AttackModel {
 
   /// Batched mean_fn over a whole ascending threshold sweep: out[j] =
   /// mean_fn(g, thresholds[j]), evaluated as one attack-size x threshold
-  /// grid of shifted ranks in a single tiled pass over g's arena
-  /// (stats::kernels rank_grid). Accumulation runs in the same size order
-  /// and with the same rank/n divisions as the per-call path, so results
-  /// are bit-identical on every SIMD back-end.
+  /// grid of shifted ranks: O(1) table loads when g has a rank table, else
+  /// one stats::kernels rank_grid call — a tiled merge-scan over large
+  /// arenas, and on small ones (fleet rows; kernels::detail::arena_is_small)
+  /// the transposed compare-count kernel over the flattened grid.
+  /// Accumulation runs in the same size order and with the same rank/n
+  /// divisions as the per-call path, so results are bit-identical on every
+  /// SIMD back-end.
   void mean_fn_batch(const stats::EmpiricalDistribution& g,
                      std::span<const double> thresholds, std::span<double> out) const;
 };

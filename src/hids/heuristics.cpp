@@ -10,24 +10,37 @@
 namespace monohids::hids {
 namespace {
 
+// Candidate thresholds into a reused buffer; candidate_thresholds() wraps it.
+void fill_candidates(const stats::EmpiricalDistribution& training,
+                     std::vector<double>& candidates) {
+  MONOHIDS_EXPECT(!training.empty(), "cannot derive candidates from empty training data");
+  candidates.clear();
+  for (double v : training.samples()) {
+    if (candidates.empty() || candidates.back() != v) candidates.push_back(v);
+  }
+  candidates.push_back(training.max() + 1.0);  // "never alarm" endpoint
+}
+
 // Shared batched sweep for the FN-aware heuristics: candidate thresholds are
-// ascending (candidate_thresholds emits distinct training values in order),
-// so one exceedance merge-scan plus one rank_grid pass replaces the
-// 2 * |candidates| binary-search calls of the per-threshold loop. Both
-// fill-ins are bit-identical to the per-call operations, so the selection
-// loops below pick the same threshold the seed per-threshold loop picks
-// (tests/oracles keeps that loop as SeedUtilityHeuristic and
-// SeedFMeasureHeuristic).
+// ascending (distinct training values in order), so one exceedance
+// merge-scan plus one rank_grid pass replaces the 2 * |candidates|
+// binary-search calls of the per-threshold loop. Both fill-ins are
+// bit-identical to the per-call operations, so the selection loops below
+// pick the same threshold the seed per-threshold loop picks (tests/oracles
+// keeps that loop as SeedUtilityHeuristic and SeedFMeasureHeuristic).
 struct SweepRates {
   std::vector<double> thresholds;
   std::vector<double> fp;  ///< fp[j] = training.exceedance(thresholds[j])
   std::vector<double> fn;  ///< fn[j] = attack.mean_fn(training, thresholds[j])
 };
 
-SweepRates batched_sweep(const stats::EmpiricalDistribution& training,
-                         const AttackModel& attack) {
-  SweepRates rates;
-  rates.thresholds = candidate_thresholds(training);
+// Fills the calling thread's buffers, so a fleet pass of per-host sweeps
+// allocates nothing once they have grown. The result is valid until the
+// thread's next batched_sweep.
+const SweepRates& batched_sweep(const stats::EmpiricalDistribution& training,
+                                const AttackModel& attack) {
+  thread_local SweepRates rates;
+  fill_candidates(training, rates.thresholds);
   rates.fp.resize(rates.thresholds.size());
   rates.fn.resize(rates.thresholds.size());
   training.exceedance_batch(rates.thresholds, rates.fp);
@@ -41,14 +54,9 @@ SweepRates batched_sweep(const stats::EmpiricalDistribution& training,
 namespace monohids::hids {
 
 std::vector<double> candidate_thresholds(const stats::EmpiricalDistribution& training) {
-  MONOHIDS_EXPECT(!training.empty(), "cannot derive candidates from empty training data");
   std::vector<double> candidates;
-  const auto samples = training.samples();
-  candidates.reserve(samples.size() + 1);
-  for (double v : samples) {
-    if (candidates.empty() || candidates.back() != v) candidates.push_back(v);
-  }
-  candidates.push_back(training.max() + 1.0);  // "never alarm" endpoint
+  candidates.reserve(training.size() + 1);
+  fill_candidates(training, candidates);
   return candidates;
 }
 
@@ -88,7 +96,7 @@ double FMeasureHeuristic::compute(const stats::EmpiricalDistribution& training,
                   "F-measure heuristic requires an attack model");
   double best_t = training.max();
   double best_f = -1.0;
-  const SweepRates rates = batched_sweep(training, *attack);
+  const SweepRates& rates = batched_sweep(training, *attack);
   for (std::size_t j = 0; j < rates.thresholds.size(); ++j) {
     // Precision/recall over the implied labelled set: every benign sample
     // is a negative; every (benign + b) is a positive, uniformly over b.
@@ -117,7 +125,7 @@ double UtilityHeuristic::compute(const stats::EmpiricalDistribution& training,
                   "utility heuristic requires an attack model");
   double best_t = training.max();
   double best_u = -2.0;
-  const SweepRates rates = batched_sweep(training, *attack);
+  const SweepRates& rates = batched_sweep(training, *attack);
   for (std::size_t j = 0; j < rates.thresholds.size(); ++j) {
     const double u = stats::utility(rates.fn[j], rates.fp[j], w_);
     if (u > best_u) {

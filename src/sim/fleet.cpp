@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "stats/kernels.hpp"
 #include "util/error.hpp"
 #include "util/rss.hpp"
@@ -26,6 +27,9 @@ std::vector<double> grid_quantiles(std::uint32_t grid_points) {
 
 struct FleetMetrics {
   obs::Histogram shard_latency;
+  obs::Histogram render_ms;  ///< per wave (v2) or shard (v1, reduce included)
+  obs::Histogram reduce_ms;  ///< per wave (v2)
+  obs::Histogram fold_ms;    ///< per shard
   obs::Counter users_total;
   obs::Counter shards_total;
   obs::Counter sketch_bytes_total;
@@ -35,6 +39,9 @@ struct FleetMetrics {
     auto& registry = obs::MetricsRegistry::global();
     return FleetMetrics{
         registry.histogram("fleet.shard_latency_ms", obs::latency_buckets_ms()),
+        registry.histogram("fleet.render_ms", obs::latency_buckets_ms()),
+        registry.histogram("fleet.reduce_ms", obs::latency_buckets_ms()),
+        registry.histogram("fleet.fold_ms", obs::latency_buckets_ms()),
         registry.counter("fleet.users_total"),
         registry.counter("fleet.shards_total"),
         registry.counter("fleet.sketch_bytes_total"),
@@ -144,8 +151,8 @@ FleetScenario build_fleet_scenario(const FleetConfig& config) {
     const std::uint32_t count = std::min(config.shard_size, users - first);
 
     // Per-user sketches land in local slots during the parallel pass; the
-    // pooled fold below consumes them sequentially in user-index order, so
-    // the pooled result is independent of shard layout and thread count.
+    // pooled fold below consumes each cell's sketches in user-index order,
+    // so the pooled result is independent of shard layout and thread count.
     std::vector<stats::GkSketch> shard_sketches(std::size_t{count} * cells,
                                                 stats::GkSketch(eps));
 
@@ -179,26 +186,30 @@ FleetScenario build_fleet_scenario(const FleetConfig& config) {
         const std::uint32_t wave_count = std::min(wave_size, count - wave_first);
         std::vector<trace::UserProfile> profiles(wave_count);
         std::vector<features::FeatureMatrix> matrices(wave_count);
-        util::parallel_for(
-            wave_count,
-            [&](std::size_t i) {
-              profiles[i] =
-                  builder.build(static_cast<std::uint32_t>(first + wave_first + i));
-              for (auto& series : matrices[i].series) {
-                series = features::BinnedSeries(generator.config().grid,
-                                                generator.config().horizon());
-              }
-            },
-            config.threads);
-        util::parallel_for(
-            std::size_t{wave_count} * tiles_per_user,
-            [&](std::size_t item) {
-              const std::size_t u = item / tiles_per_user;
-              const std::uint64_t begin = (item % tiles_per_user) * tile_bins;
-              const std::uint64_t end = std::min(total_bins, begin + tile_bins);
-              generator.render_features_v2_tile(profiles[u], begin, end, matrices[u]);
-            },
-            config.threads);
+        {
+          const obs::ScopedTimer span("fleet.render", metrics.render_ms);
+          util::parallel_for(
+              wave_count,
+              [&](std::size_t i) {
+                profiles[i] =
+                    builder.build(static_cast<std::uint32_t>(first + wave_first + i));
+                for (auto& series : matrices[i].series) {
+                  series = features::BinnedSeries(generator.config().grid,
+                                                  generator.config().horizon());
+                }
+              },
+              config.threads);
+          util::parallel_for(
+              std::size_t{wave_count} * tiles_per_user,
+              [&](std::size_t item) {
+                const std::size_t u = item / tiles_per_user;
+                const std::uint64_t begin = (item % tiles_per_user) * tile_bins;
+                const std::uint64_t end = std::min(total_bins, begin + tile_bins);
+                generator.render_features_v2_tile(profiles[u], begin, end, matrices[u]);
+              },
+              config.threads);
+        }
+        const obs::ScopedTimer span("fleet.reduce", metrics.reduce_ms);
         util::parallel_for(
             wave_count,
             [&](std::size_t i) {
@@ -209,6 +220,9 @@ FleetScenario build_fleet_scenario(const FleetConfig& config) {
             config.threads);
       }
     } else {
+      // The v1 generator renders one whole user per call, so render and
+      // reduce share one span.
+      const obs::ScopedTimer span("fleet.render", metrics.render_ms);
       util::parallel_for(
           count,
           [&](std::size_t local) {
@@ -220,12 +234,23 @@ FleetScenario build_fleet_scenario(const FleetConfig& config) {
           config.threads);
     }
 
-    for (std::uint32_t local = 0; local < count; ++local) {
-      for (std::size_t cell = 0; cell < cells; ++cell) {
-        const stats::GkSketch& sketch = shard_sketches[local * cells + cell];
-        folded_sketch_bytes += sketch.memory_bytes();
-        fleet.pooled_[cell].merge(sketch);
-      }
+    {
+      // Cells fold independently: one work item per (feature, week) cell,
+      // each merging its users' sketches in user-index order — the same
+      // merge sequence per cell as a serial fold, so bit-identical.
+      const obs::ScopedTimer span("fleet.fold", metrics.fold_ms);
+      std::vector<std::uint64_t> cell_bytes(cells, 0);
+      util::parallel_for(
+          cells,
+          [&](std::size_t cell) {
+            for (std::uint32_t local = 0; local < count; ++local) {
+              const stats::GkSketch& sketch = shard_sketches[local * cells + cell];
+              cell_bytes[cell] += sketch.memory_bytes();
+              fleet.pooled_[cell].merge(sketch);
+            }
+          },
+          config.threads);
+      for (const std::uint64_t bytes : cell_bytes) folded_sketch_bytes += bytes;
     }
 
     if constexpr (obs::kEnabled) {

@@ -16,7 +16,11 @@
 //       stats::kernels dispatch), stored as float32
 //     → pooled per-(feature, week) sketches folded in user-index order
 //       (GkSketch::merge — the fold order, not the shard layout, defines
-//       the result, so any shard count produces the same pooled summary).
+//       the result, so any shard count produces the same pooled summary;
+//       the cells fold in parallel, each in that order).
+//   Each wave's render and reduce and each shard's fold record an obs span
+//   (fleet.render / fleet.reduce / fleet.fold) and a latency histogram of
+//   the same name with an _ms suffix.
 //
 // Everything downstream — assign_thresholds, the heuristics, attacker
 // curves, evaluate_policy — runs unmodified: FleetAnalysisCache implements
@@ -33,7 +37,7 @@
 //
 // Determinism: rows and pooled sketches are bit-identical for every shard
 // size and thread count — each user's row depends only on (config, user id)
-// and lands in its own slot; the pooled fold is sequential in user order.
+// and lands in its own slot; each pooled cell folds in user order.
 // Under the v2 contract this extends to the bin-tile partition and the
 // SIMD kernel back-end (the counter-mode draw keys make every bin's words
 // independent of how the render work was partitioned).

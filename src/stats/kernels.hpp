@@ -9,10 +9,19 @@
 //   - rank_sorted: a single merge-scan over the sorted-sample arena for an
 //     ascending query batch — O(n + T) for a whole threshold sweep instead
 //     of O(T log n) binary searches.
-//   - rank_unsorted: branchless rank queries in arbitrary order (vectorized
-//     partition-count on small arenas, branchless binary search otherwise).
+//   - rank_unsorted: branchless rank queries in arbitrary order (branchless
+//     binary search).
 //   - rank_grid: the full attack-size x threshold grid of shifted ranks in
 //     one tiled pass over the arena (AttackModel::mean_fn_batch).
+//   - small arenas (detail::arena_is_small, n <= 96): on the AVX2 back-end
+//     all three operations instead answer their whole batch — the grid
+//     flattened to S*T queries — with one transposed compare-count kernel:
+//     SIMD lanes over the queries, one broadcast per arena sample,
+//     !(q < v) masks accumulated per lane. No merge-scan branch and no
+//     per-query horizontal sum. This is the fleet path: its rows are
+//     24-point quantile grids, and every full-diversity sweep and per-user
+//     evaluation ranks against one. Sparse sweeps over large arenas use
+//     per-query branchless binary search (detail::sweep_prefers_binary).
 //   - count_exceed / replay_detect / joint_exceed: the detector-side
 //     bin-vs-threshold loops (alarm counting, storm replay, joint alarms).
 //
@@ -56,13 +65,14 @@ struct Ops {
   void (*rank_sorted)(std::span<const double> arena, std::span<const double> xs,
                       double shift, std::uint32_t* out);
 
-  /// Same contract with `xs` in arbitrary order (per-query partition-count
-  /// or branchless binary search; the strategy is a back-end detail, the
-  /// integer result is identical).
+  /// Same contract with `xs` in arbitrary order (per-query branchless
+  /// binary search or the small-arena kernel; the strategy is a back-end
+  /// detail, the integer result is identical). A NaN query ranks n, as
+  /// std::upper_bound ranks it: every back-end tests !(q < v).
   void (*rank_unsorted)(std::span<const double> arena, std::span<const double> xs,
                         double shift, std::uint32_t* out);
 
-  /// Full attack-size x threshold grid in one tiled pass over the arena:
+  /// Full attack-size x threshold grid in one pass over the arena:
   /// ranks[s * thresholds.size() + j] = #{v <= thresholds[j] - sizes[s]}.
   /// `thresholds` must be ascending; `sizes` may be any order.
   void (*rank_grid)(std::span<const double> arena, std::span<const double> thresholds,
@@ -183,6 +193,36 @@ namespace detail {
   if (n < 2048) return false;  // small arenas stay cache-resident either way
   const auto log2n = static_cast<std::size_t>(std::bit_width(n));
   return t * (log2n + 1) < n;
+}
+
+/// Small-arena crossover of the lane-parallel back-ends: arenas of at most
+/// kSmallArenaMax samples take the transposed compare-count kernel in
+/// rank_sorted, rank_unsorted and rank_grid. Its cost is n * T / 4 vector
+/// compares with no branch on the data; the merge-scan's is n + T steps,
+/// each query's exit a likely mispredict. Measured on a 4-core AVX2 VM
+/// (2048 distinct lognormal-count arenas per point, T = distinct samples + 1,
+/// S = 32; old / new ns per call):
+///
+///     n    rank_grid       rank_sorted   rank_unsorted (32 queries)
+///    24    3459 / 832      139 / 76      150 / 74
+///    64    6097 / 3099     286 / 214     470 / 247
+///    96    7626 / 4854     322 / 242     412 / 256
+///   128    9036 / 7061     366 / 340     521 / 343
+///   192   10440 / 11634    507 / 622     762 / 495
+///
+/// With T = 4 the grid breaks even earlier (n = 128: 1272 / 1207). 96 keeps
+/// every measured shape at >= 1.27x and matches the old partition-count
+/// bound of rank_unsorted; the paper's 672-sample week arenas, pooled arenas
+/// and rank-table arenas (n >= 64 with small integer counts, answered by
+/// table loads before any kernel runs) stay on their paths. The scalar
+/// back-end keeps its merge-scan and std::upper_bound: without lanes the
+/// transposed form measured 2-3x slower than the merge-scan from n = 16 up.
+/// NEON keeps its paths too (not built or measured here). Results never
+/// depend on the branch: every strategy returns the exact upper-bound ranks.
+inline constexpr std::size_t kSmallArenaMax = 96;
+
+[[nodiscard]] constexpr bool arena_is_small(std::size_t n) noexcept {
+  return n <= kSmallArenaMax;
 }
 
 /// The portable poisson_counts implementation (the scalar back-end's entry

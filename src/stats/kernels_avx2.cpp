@@ -19,6 +19,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace monohids::stats::kernels {
 namespace {
@@ -44,23 +45,96 @@ inline std::size_t advance_le(const double* a, std::size_t i, std::size_t limit,
 }
 
 /// Branchless upper bound (conditional-move binary search) for sparse
-/// queries against large arenas.
+/// queries against large arenas. Tests !(q < v), std::upper_bound's own
+/// comparison, so a NaN query ranks n exactly as std::upper_bound does.
 inline std::uint32_t upper_bound_branchless(const double* a, std::size_t n,
                                             double q) noexcept {
   if (n == 0) return 0;
   const double* base = a;
   while (n > 1) {
     const std::size_t half = n / 2;
-    base += (base[half - 1] <= q) ? half : 0;
+    base += !(q < base[half - 1]) ? half : 0;
     n -= half;
   }
-  return static_cast<std::uint32_t>((base - a) + (*base <= q ? 1 : 0));
+  return static_cast<std::uint32_t>((base - a) + (!(q < *base) ? 1 : 0));
+}
+
+/// Writes the four int64 lane counts of `c` (each below 2^32) to out[0..4).
+inline void store_counts(__m256i c, std::uint32_t* out) noexcept {
+  const __m256i low_words =
+      _mm256_permutevar8x32_epi32(c, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm256_castsi256_si128(low_words));
+}
+
+/// Upper-bound ranks of four queries (one per lane) against a small arena:
+/// each sample is broadcast once and its !(q < v) mask (all-ones = -1 as
+/// int64, true for a NaN query) is subtracted from the lane counts.
+inline __m256i small_ranks(const double* a, std::size_t n, __m256d q) noexcept {
+  __m256i count = _mm256_setzero_si256();
+  for (std::size_t i = 0; i < n; ++i) {
+    const __m256d v = _mm256_broadcast_sd(a + i);
+    count = _mm256_sub_epi64(count, _mm256_castpd_si256(_mm256_cmp_pd(v, q, _CMP_NGT_UQ)));
+  }
+  return count;
+}
+
+/// The small-arena rank kernel: out[j] = #{i : !(q[j] < a[i])} for the
+/// `count` queries in q, in any order. SIMD lanes run over the queries, so
+/// there is no per-query horizontal sum and no merge-scan branch; sixteen
+/// queries per arena pass keep four independent compare chains in flight.
+void rank_small(const double* a, std::size_t n, const double* q, std::size_t count,
+                std::uint32_t* out) noexcept {
+  std::size_t j = 0;
+  for (; j + 16 <= count; j += 16) {
+    const __m256d q0 = _mm256_loadu_pd(q + j);
+    const __m256d q1 = _mm256_loadu_pd(q + j + 4);
+    const __m256d q2 = _mm256_loadu_pd(q + j + 8);
+    const __m256d q3 = _mm256_loadu_pd(q + j + 12);
+    __m256i c0 = _mm256_setzero_si256(), c1 = c0, c2 = c0, c3 = c0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const __m256d v = _mm256_broadcast_sd(a + i);
+      c0 = _mm256_sub_epi64(c0, _mm256_castpd_si256(_mm256_cmp_pd(v, q0, _CMP_NGT_UQ)));
+      c1 = _mm256_sub_epi64(c1, _mm256_castpd_si256(_mm256_cmp_pd(v, q1, _CMP_NGT_UQ)));
+      c2 = _mm256_sub_epi64(c2, _mm256_castpd_si256(_mm256_cmp_pd(v, q2, _CMP_NGT_UQ)));
+      c3 = _mm256_sub_epi64(c3, _mm256_castpd_si256(_mm256_cmp_pd(v, q3, _CMP_NGT_UQ)));
+    }
+    store_counts(c0, out + j);
+    store_counts(c1, out + j + 4);
+    store_counts(c2, out + j + 8);
+    store_counts(c3, out + j + 12);
+  }
+  for (; j + 4 <= count; j += 4) {
+    store_counts(small_ranks(a, n, _mm256_loadu_pd(q + j)), out + j);
+  }
+  if (j < count) {
+    alignas(32) double tail[4] = {0.0, 0.0, 0.0, 0.0};
+    std::copy(q + j, q + count, tail);
+    alignas(16) std::uint32_t ranks[4];
+    store_counts(small_ranks(a, n, _mm256_load_pd(tail)), ranks);
+    std::copy(ranks, ranks + (count - j), out + j);
+  }
+}
+
+/// Per-thread query buffer of the small-arena paths: the shifted queries
+/// are materialised once, then answered by one rank_small call.
+thread_local std::vector<double> t_small_queries;
+
+void rank_small_shifted(std::span<const double> arena, std::span<const double> xs,
+                        double shift, std::uint32_t* out) {
+  std::vector<double>& q = t_small_queries;
+  q.resize(xs.size());
+  for (std::size_t j = 0; j < xs.size(); ++j) q[j] = xs[j] - shift;
+  rank_small(arena.data(), arena.size(), q.data(), q.size(), out);
 }
 
 void rank_sorted_avx2(std::span<const double> arena, std::span<const double> xs,
                       double shift, std::uint32_t* out) {
   const double* a = arena.data();
   const std::size_t n = arena.size();
+  if (detail::arena_is_small(n)) {
+    rank_small_shifted(arena, xs, shift, out);
+    return;
+  }
   if (detail::sweep_prefers_binary(n, xs.size())) {
     for (std::size_t j = 0; j < xs.size(); ++j) {
       out[j] = upper_bound_branchless(a, n, xs[j] - shift);
@@ -74,40 +148,16 @@ void rank_sorted_avx2(std::span<const double> arena, std::span<const double> xs,
   }
 }
 
-/// Partition count: #{v <= q} by accumulating 4-lane compare masks (each
-/// all-ones lane is -1 as int64, so mask subtraction counts).
-inline std::uint32_t partition_count_le(const double* a, std::size_t n,
-                                        double q) noexcept {
-  const __m256d qv = _mm256_set1_pd(q);
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(a + i);
-    acc = _mm256_sub_epi64(acc, _mm256_castpd_si256(_mm256_cmp_pd(v, qv, _CMP_LE_OQ)));
-  }
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int64_t count = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) count += a[i] <= q ? 1 : 0;
-  return static_cast<std::uint32_t>(count);
-}
-
 void rank_unsorted_avx2(std::span<const double> arena, std::span<const double> xs,
                         double shift, std::uint32_t* out) {
   const double* a = arena.data();
   const std::size_t n = arena.size();
-  // Tiny arenas: the branchless streaming count (n/4 independent vector
-  // compares) beats ~log2(n) dependent loads. Anywhere past ~2 cache lines
-  // per lane the binary search wins.
-  constexpr std::size_t kPartitionCountMax = 96;
-  if (n <= kPartitionCountMax) {
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      out[j] = partition_count_le(a, n, xs[j] - shift);
-    }
-  } else {
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      out[j] = upper_bound_branchless(a, n, xs[j] - shift);
-    }
+  if (detail::arena_is_small(n)) {
+    rank_small_shifted(arena, xs, shift, out);
+    return;
+  }
+  for (std::size_t j = 0; j < xs.size(); ++j) {
+    out[j] = upper_bound_branchless(a, n, xs[j] - shift);
   }
 }
 
@@ -117,11 +167,18 @@ void rank_grid_avx2(std::span<const double> arena, std::span<const double> thres
   const std::size_t T = thresholds.size();
   const std::size_t S = sizes.size();
   if (T == 0 || S == 0) return;
-  if (n == 0) {
-    std::fill(ranks, ranks + T * S, 0u);
+  const double* a = arena.data();
+  if (detail::arena_is_small(n)) {
+    // The whole size x threshold grid as one flat query batch: row s holds
+    // thresholds[j] - sizes[s], which is exactly the ranks layout.
+    std::vector<double>& q = t_small_queries;
+    q.resize(T * S);
+    for (std::size_t s = 0; s < S; ++s) {
+      for (std::size_t j = 0; j < T; ++j) q[s * T + j] = thresholds[j] - sizes[s];
+    }
+    rank_small(a, n, q.data(), q.size(), ranks);
     return;
   }
-  const double* a = arena.data();
   if (detail::sweep_prefers_binary(n, T)) {
     // Sparse grid over a large (pooled) arena: S*T binary searches touch
     // far fewer samples than S merge-scans of the whole arena.

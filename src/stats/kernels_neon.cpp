@@ -36,16 +36,18 @@ inline std::size_t advance_le(const double* a, std::size_t i, std::size_t limit,
   return i;
 }
 
+/// Tests !(q < v), std::upper_bound's own comparison, so a NaN query ranks
+/// n exactly as std::upper_bound does.
 inline std::uint32_t upper_bound_branchless(const double* a, std::size_t n,
                                             double q) noexcept {
   if (n == 0) return 0;
   const double* base = a;
   while (n > 1) {
     const std::size_t half = n / 2;
-    base += (base[half - 1] <= q) ? half : 0;
+    base += !(q < base[half - 1]) ? half : 0;
     n -= half;
   }
-  return static_cast<std::uint32_t>((base - a) + (*base <= q ? 1 : 0));
+  return static_cast<std::uint32_t>((base - a) + (!(q < *base) ? 1 : 0));
 }
 
 void rank_sorted_neon(std::span<const double> arena, std::span<const double> xs,
@@ -65,8 +67,9 @@ void rank_sorted_neon(std::span<const double> arena, std::span<const double> xs,
   }
 }
 
-/// Streaming partition count: lanes of vcleq are all-ones (=-1 as int64),
-/// so subtracting the mask accumulates the count.
+/// Streaming partition count: n - #{v > q}, i.e. #{!(q < v)} (a NaN query
+/// ranks n, as std::upper_bound ranks it). Lanes of vcgtq are all-ones
+/// (=-1 as int64), so subtracting the mask accumulates the count.
 inline std::uint32_t partition_count_le(const double* a, std::size_t n,
                                         double q) noexcept {
   const float64x2_t qv = vdupq_n_f64(q);
@@ -74,11 +77,11 @@ inline std::uint32_t partition_count_le(const double* a, std::size_t n,
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
     const float64x2_t v = vld1q_f64(a + i);
-    acc = vsubq_s64(acc, vreinterpretq_s64_u64(vcleq_f64(v, qv)));
+    acc = vsubq_s64(acc, vreinterpretq_s64_u64(vcgtq_f64(v, qv)));
   }
-  std::int64_t count = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
-  for (; i < n; ++i) count += a[i] <= q ? 1 : 0;
-  return static_cast<std::uint32_t>(count);
+  std::int64_t above = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
+  for (; i < n; ++i) above += a[i] > q ? 1 : 0;
+  return static_cast<std::uint32_t>(static_cast<std::int64_t>(n) - above);
 }
 
 void rank_unsorted_neon(std::span<const double> arena, std::span<const double> xs,

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
@@ -172,12 +173,21 @@ void parallel_for(std::size_t count, const std::function<void(std::size_t)>& bod
   };
   SweepState state;
 
-  const auto shard = [&state, &body, count] {
+  // The calling thread is one shard; the rest run on the shared pool.
+  const std::size_t max_useful = count < requested ? count : requested;
+  // Shards claim blocks of indices: one contended atomic per index costs
+  // more than a fleet evaluation's ~200 ns per-host body. A block is at
+  // most 1/64 of a shard's share, so the tail stays balanced, and sweeps
+  // under 64 indices per shard keep per-index claims.
+  const std::size_t grain = std::max<std::size_t>(1, count / (max_useful * 64));
+
+  const auto shard = [&state, &body, count, grain] {
     for (;;) {
-      const std::size_t i = state.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
+      const std::size_t begin = state.next.fetch_add(grain, std::memory_order_relaxed);
+      if (begin >= count) break;
+      const std::size_t end = std::min(count, begin + grain);
       try {
-        body(i);
+        for (std::size_t i = begin; i < end; ++i) body(i);
       } catch (...) {
         {
           const std::lock_guard<std::mutex> lock(state.mutex);
@@ -190,8 +200,6 @@ void parallel_for(std::size_t count, const std::function<void(std::size_t)>& bod
     }
   };
 
-  // The calling thread is one shard; the rest run on the shared pool.
-  const std::size_t max_useful = count < requested ? count : requested;
   const auto helpers = static_cast<unsigned>(max_useful - 1);
   state.active = helpers;
   for (unsigned h = 0; h < helpers; ++h) {

@@ -74,10 +74,11 @@ class ThreadPool {
 };
 
 /// Runs body(i) for every i in [0, count), sharded over `threads` workers
-/// (0 = default_thread_count()). Indices are handed out dynamically, so
-/// uneven per-index cost load-balances; bodies for distinct indices run
-/// concurrently and must not share mutable state except through disjoint
-/// output slots. threads <= 1 (or nested invocation from a pool worker)
+/// (0 = default_thread_count()). Indices are handed out dynamically in
+/// blocks of at most 1/64 of a shard's share (single indices for short
+/// sweeps), so uneven per-index cost load-balances; bodies for distinct
+/// indices run concurrently and must not share mutable state except
+/// through disjoint output slots. threads <= 1 (or nested invocation from a pool worker)
 /// runs the plain serial loop on the calling thread. The first exception
 /// thrown by any body is rethrown on the calling thread after all shards
 /// stop (remaining indices are abandoned).

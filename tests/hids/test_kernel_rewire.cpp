@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "hids/evaluator.hpp"
 #include "hids/heuristics.hpp"
 #include "hids/roc.hpp"
+#include "hids/threshold_policy.hpp"
 #include "oracles/kernels.hpp"
 #include "stats/empirical.hpp"
 #include "stats/kernels.hpp"
@@ -229,6 +231,50 @@ TEST(KernelRewire, DetectorAlarmCountIsBitIdentical) {
   expect_matches_oracle([&] { return det.count_alarms(bins); },
                         [&] { return oracles::count_alarms(det, bins); },
                         "ThresholdDetector::count_alarms");
+}
+
+TEST(KernelRewire, FullDiversityOnCompactRowsMatchesSeedHeuristic) {
+  // Fleet shape: every user's week is a 24-point quantile row of count
+  // data (heavy ties), small enough for the small-arena rank kernel, swept
+  // against 32 log-spaced attack sizes. Full diversity gives every user
+  // their own utility-optimal threshold; the per-user test-week FN rates
+  // then go through AttackModel::mean_fn on the same rows.
+  constexpr std::size_t kUsers = 48;
+  constexpr std::size_t kRow = 24;
+  std::vector<EmpiricalDistribution> train, test;
+  for (std::uint64_t u = 0; u < kUsers; ++u) {
+    for (auto* week : {&train, &test}) {
+      auto row = count_samples(400 + 2 * u + (week == &test ? 1 : 0), kRow);
+      for (double& v : row) v = std::floor(v * v / (20.0 + static_cast<double>(u)));
+      week->emplace_back(row);
+    }
+  }
+  ASSERT_TRUE(train.front().rank_table().empty());
+  const AttackModel attack = training_attack_sweep(train, 32);
+  const FullDiversityGrouper grouper;
+  const auto thresholds_then_fn = [&](const ThresholdHeuristic& heuristic, auto&& mean_fn) {
+    const ThresholdAssignment assignment =
+        assign_thresholds(train, grouper, heuristic, &attack, 1);
+    std::vector<double> out = assignment.threshold_of_user;
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      out.push_back(mean_fn(test[u], assignment.threshold_of_user[u]));
+    }
+    return out;
+  };
+  const UtilityHeuristic utility(0.5);
+  const oracles::SeedUtilityHeuristic seed_utility(0.5);
+  expect_matches_oracle(
+      [&] {
+        return thresholds_then_fn(utility, [&](const EmpiricalDistribution& g, double t) {
+          return attack.mean_fn(g, t);
+        });
+      },
+      [&] {
+        return thresholds_then_fn(seed_utility, [&](const EmpiricalDistribution& g, double t) {
+          return oracles::mean_fn(attack, g, t);
+        });
+      },
+      "full-diversity thresholds and FN rates on 24-point rows");
 }
 
 // --- Selections made from the input ------------------------------------------

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,91 @@ TEST(KernelDifferential, AllBackendsBitIdenticalToScalar) {
     ++executed;
   }
   EXPECT_GE(executed, 500u);
+}
+
+/// Upper-bound rank of every query against `arena`: the contract all
+/// back-ends must meet integer-for-integer.
+std::vector<std::uint32_t> upper_bound_ranks(const std::vector<double>& arena,
+                                             const std::vector<double>& queries) {
+  std::vector<std::uint32_t> ranks;
+  ranks.reserve(queries.size());
+  for (double q : queries) {
+    ranks.push_back(static_cast<std::uint32_t>(
+        std::upper_bound(arena.begin(), arena.end(), q) - arena.begin()));
+  }
+  return ranks;
+}
+
+TEST(KernelDifferential, SmallArenaRanksMatchUpperBoundOnEveryBackend) {
+  // Every arena size across the small-arena crossover, crossed with query
+  // counts around the 4- and 16-lane block edges and 1/7/32 attack sizes.
+  // Integer-valued arenas and sizes make t - s land exactly on samples;
+  // arenas carry heavy ties, -0.0/+0.0 and sometimes +-inf; the unsorted
+  // batches add NaN queries, which rank n as std::upper_bound ranks them.
+  // (NaN has no place in an ascending batch, so the sorted ones omit it.)
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Backend> backends{Backend::Scalar};
+  for (Backend b : simd_backends()) backends.push_back(b);
+
+  for (std::size_t n = 1; n <= kernels::detail::kSmallArenaMax + 8; ++n) {
+    util::Xoshiro256 rng(0x5a11 + n);
+    std::vector<double> arena(n);
+    for (double& v : arena) v = static_cast<double>(rng() % 12) - 3.0;
+    arena[rng() % n] = -0.0;
+    arena[rng() % n] = 0.0;
+    if (n % 5 == 0) arena[rng() % n] = kInf;
+    if (n % 7 == 0) arena[rng() % n] = -kInf;
+    std::sort(arena.begin(), arena.end());
+
+    for (std::size_t t : {1u, 3u, 4u, 5u, 15u, 16u, 17u, 33u}) {
+      std::vector<double> thresholds(t);
+      for (double& x : thresholds) {
+        switch (rng() % 8) {
+          case 0: x = -0.0; break;
+          case 1: x = 0.0; break;
+          case 2: x = (rng() % 2 == 0) ? kInf : -kInf; break;
+          case 3: x = static_cast<double>(rng() % 12) - 3.5; break;
+          default: x = arena[rng() % n] + static_cast<double>(rng() % 9);
+        }
+      }
+      std::sort(thresholds.begin(), thresholds.end());
+      std::vector<double> unsorted = thresholds;
+      unsorted[rng() % t] = nan;
+      for (std::size_t i = t; i > 1; --i) std::swap(unsorted[i - 1], unsorted[rng() % i]);
+
+      for (std::size_t s_count : {1u, 7u, 32u}) {
+        std::vector<double> sizes(s_count);
+        for (double& s : sizes) s = static_cast<double>(rng() % 9);
+        std::vector<double> shifted;
+        for (double s : sizes) {
+          for (double x : thresholds) shifted.push_back(x - s);
+        }
+        const auto grid_ref = upper_bound_ranks(arena, shifted);
+        const double shift = sizes.back();
+        std::vector<double> sorted_q, unsorted_q;
+        for (double x : thresholds) sorted_q.push_back(x - shift);
+        for (double x : unsorted) unsorted_q.push_back(x - shift);
+        const auto sorted_ref = upper_bound_ranks(arena, sorted_q);
+        const auto unsorted_ref = upper_bound_ranks(arena, unsorted_q);
+
+        const std::string label = "n=" + std::to_string(n) + " T=" + std::to_string(t) +
+                                  " S=" + std::to_string(s_count);
+        for (Backend b : backends) {
+          const kernels::Ops& ops = *kernels::ops_for(b);
+          const std::string where = label + " on " + std::string(kernels::backend_name(b));
+          std::vector<std::uint32_t> grid(shifted.size(), 0xffffffffu);
+          ops.rank_grid(arena, thresholds, sizes, grid.data());
+          ASSERT_EQ(grid, grid_ref) << "rank_grid " << where;
+          std::vector<std::uint32_t> got(t, 0xffffffffu);
+          ops.rank_sorted(arena, thresholds, shift, got.data());
+          ASSERT_EQ(got, sorted_ref) << "rank_sorted " << where;
+          ops.rank_unsorted(arena, unsorted, shift, got.data());
+          ASSERT_EQ(got, unsorted_ref) << "rank_unsorted " << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelDifferential, ReplayAndJointKernelsBitIdenticalToScalar) {
