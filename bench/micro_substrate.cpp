@@ -4,11 +4,13 @@
 // and the trace generators.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <string>
 
 #include "features/pipeline.hpp"
 #include "hids/evaluator.hpp"
 #include "sim/scenario.hpp"
+#include "stats/empirical.hpp"
 #include "stats/gk_sketch.hpp"
 #include "stats/kernels.hpp"
 #include "stats/p2_quantile.hpp"
@@ -286,6 +288,33 @@ void BM_KernelRankUnsortedSmallArena(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * fleet.rows.size() * 32));
 }
 BENCHMARK(BM_KernelRankUnsortedSmallArena)->Arg(0)->Arg(1);
+
+// Homogeneous fleet pool: 8192 hosts' ascending 24-sample compact rows,
+// each host at its own traffic level, with the pool's maximum near 256k
+// (the TCP and TCP-SYN pools of an 8192-host fleet). One iteration is what
+// assign_thresholds does before the heuristic runs: merge_sorted_spans
+// into a reused buffer, then view_of_sorted(..., true) with its rank table.
+void BM_FleetPoolMergeAndView(benchmark::State& state) {
+  util::Xoshiro256 rng(31);
+  std::vector<std::vector<double>> rows(8192, std::vector<double>(24));
+  for (auto& row : rows) {
+    const double level = std::exp(rng.uniform01() * std::log(2000.0));
+    for (double& v : row) v = std::floor(level * std::exp(rng.uniform01() * std::log(128.0)));
+    std::sort(row.begin(), row.end());
+  }
+  const std::vector<std::span<const double>> parts(rows.begin(), rows.end());
+  std::vector<double> pooled;
+  stats::merge_sorted_spans(parts, pooled);
+  state.SetLabel("n=" + std::to_string(pooled.size()) +
+                 " max=" + std::to_string(static_cast<std::uint64_t>(pooled.back())));
+  for (auto _ : state) {
+    stats::merge_sorted_spans(parts, pooled);
+    const auto view = stats::EmpiricalDistribution::view_of_sorted(pooled, true);
+    benchmark::DoNotOptimize(view.rank_table().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * pooled.size()));
+}
+BENCHMARK(BM_FleetPoolMergeAndView)->Unit(benchmark::kMillisecond);
 
 void BM_KernelCountExceed(benchmark::State& state) {
   util::Xoshiro256 rng(19);

@@ -3,20 +3,32 @@
 #
 # Builds micro_ingest twice — MONOHIDS_OBS=ON and OFF — runs the same
 # headline workload in both, and fails unless:
-#   1. the "# output digest:" lines match (instrumentation must never touch
-#      data outputs: bit-identical feature matrices and flow stats), and
+#   1. the "# output digest:" lines of every run match (instrumentation must
+#      never touch data outputs: bit-identical feature matrices and flow
+#      stats), and
 #   2. the instrumented streaming headline is within MAX_OVERHEAD_PCT
-#      (default 2%) of the uninstrumented one, best-of REPEAT runs.
+#      (default 2%) of the uninstrumented one, as the median over PAIRS
+#      interleaved OFF/ON pairs of the per-pair overhead.
+#
+# Why pairs: on a shared VM the speed of the whole machine drifts by
+# 10-25% over minutes, far more than the bound, so two best-of figures
+# taken minutes apart compare the drift, not the builds. Running OFF and
+# ON back to back puts both halves of a pair under the same drift,
+# alternating which half runs first cancels a trend within the pair, and
+# the median of the per-pair differences ignores the few pairs a burst of
+# noise lands in. Each run reports the best of REPEAT streaming passes.
 #
 # Usage: scripts/check_obs_overhead.sh [source-dir]
-# Env:   MAX_OVERHEAD_PCT (default 2), REPEAT (default 5), BUILD_ROOT
-#        (default <source-dir>/build-obs-check), WORKLOAD_ARGS (extra
-#        micro_ingest flags, default a ~2.4M-packet headline).
+# Env:   MAX_OVERHEAD_PCT (default 2), PAIRS (default 15), REPEAT (default
+#        5), BUILD_ROOT (default <source-dir>/build-obs-check),
+#        WORKLOAD_ARGS (extra micro_ingest flags, default a ~2.4M-packet
+#        headline).
 set -euo pipefail
 
 SRC_DIR="${1:-$(pwd)}"
 BUILD_ROOT="${BUILD_ROOT:-${SRC_DIR}/build-obs-check}"
 MAX_OVERHEAD_PCT="${MAX_OVERHEAD_PCT:-2}"
+PAIRS="${PAIRS:-15}"
 REPEAT="${REPEAT:-5}"
 WORKLOAD_ARGS="${WORKLOAD_ARGS:---flow-rate 500 --flow-seconds 1200 --packets 500000}"
 
@@ -25,7 +37,7 @@ build_flavor() {
   local dir="${BUILD_ROOT}/${flavor}"
   cmake -B "${dir}" -S "${SRC_DIR}" -DCMAKE_BUILD_TYPE=Release \
         "-DMONOHIDS_OBS=${obs_value}" > /dev/null
-  cmake --build "${dir}" -j --target micro_ingest > /dev/null
+  cmake --build "${dir}" -j "$(nproc)" --target micro_ingest > /dev/null
   echo "${dir}"
 }
 
@@ -55,32 +67,45 @@ echo "== building MONOHIDS_OBS=ON and OFF flavors =="
 ON_DIR=$(build_flavor on ON)
 OFF_DIR=$(build_flavor off OFF)
 
-echo "== running headline workload (repeat=${REPEAT}) =="
-run_flavor "${OFF_DIR}" "${BUILD_ROOT}/off"
-run_flavor "${ON_DIR}" "${BUILD_ROOT}/on"
+echo "== running ${PAIRS} interleaved OFF/ON pairs (best of ${REPEAT} each) =="
+DIGEST=""
+PAIR_MS=()
+for pair in $(seq 1 "${PAIRS}"); do
+  if [ $((pair % 2)) -eq 1 ]; then order="off on"; else order="on off"; fi
+  for flavor in ${order}; do
+    if [ "${flavor}" = on ]; then dir="${ON_DIR}"; else dir="${OFF_DIR}"; fi
+    out="${BUILD_ROOT}/${flavor}-${pair}"
+    run_flavor "${dir}" "${out}"
+    digest=$(digest_of "${out}")
+    DIGEST="${DIGEST:-${digest}}"
+    if [ -z "${digest}" ] || [ "${digest}" != "${DIGEST}" ]; then
+      echo "FAIL: obs=${flavor} run of pair ${pair} printed digest '${digest}'," \
+           "other runs '${DIGEST}' — instrumentation changed data outputs" >&2
+      exit 1
+    fi
+  done
+  ON_MS=$(headline_ms "${BUILD_ROOT}/on-${pair}")
+  OFF_MS=$(headline_ms "${BUILD_ROOT}/off-${pair}")
+  echo "pair ${pair} (${order%% *} first): obs=ON ${ON_MS} ms, obs=OFF ${OFF_MS} ms"
+  PAIR_MS+=("${ON_MS}:${OFF_MS}")
+done
+echo "output digest of every run: ${DIGEST}"
 
-ON_DIGEST=$(digest_of "${BUILD_ROOT}/on")
-OFF_DIGEST=$(digest_of "${BUILD_ROOT}/off")
-ON_MS=$(headline_ms "${BUILD_ROOT}/on")
-OFF_MS=$(headline_ms "${BUILD_ROOT}/off")
-
-echo "obs=ON : ${ON_MS} ms   digest ${ON_DIGEST}"
-echo "obs=OFF: ${OFF_MS} ms   digest ${OFF_DIGEST}"
-
-if [ -z "${ON_DIGEST}" ] || [ "${ON_DIGEST}" != "${OFF_DIGEST}" ]; then
-  echo "FAIL: output digests differ — instrumentation changed data outputs" >&2
-  exit 1
-fi
-
-python3 - "${ON_MS}" "${OFF_MS}" "${MAX_OVERHEAD_PCT}" <<'EOF'
-import sys
-on_ms, off_ms, limit = float(sys.argv[1]), float(sys.argv[2]), float(sys.argv[3])
-overhead = (on_ms - off_ms) / off_ms * 100.0
-print(f"metrics-on overhead: {overhead:+.2f}% (limit {limit:.1f}%)")
+python3 - "${MAX_OVERHEAD_PCT}" "${PAIR_MS[@]}" <<'EOF'
+import statistics, sys
+limit = float(sys.argv[1])
+diffs = []
+for pair in sys.argv[2:]:
+    on_ms, off_ms = (float(x) for x in pair.split(":"))
+    diffs.append((on_ms - off_ms) / off_ms * 100.0)
+overhead = statistics.median(diffs)
+print("per-pair overhead: " + " ".join(f"{d:+.2f}%" for d in diffs))
+print(f"metrics-on overhead, median of {len(diffs)} pairs: {overhead:+.2f}% "
+      f"(limit {limit:.1f}%)")
 if overhead > limit:
     print(f"FAIL: observability overhead {overhead:.2f}% exceeds {limit:.1f}%",
           file=sys.stderr)
     sys.exit(1)
 EOF
 
-echo "OK: bit-identical outputs, overhead within ${MAX_OVERHEAD_PCT}%"
+echo "OK: bit-identical outputs, median overhead within ${MAX_OVERHEAD_PCT}%"

@@ -16,8 +16,9 @@ EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples) {
   for (double v : samples) {
     MONOHIDS_EXPECT(std::isfinite(v), "empirical samples must be finite");
   }
-  // Traffic-count features are small non-negative integers, where the
-  // kernels' counting sweep sorts in O(n + K); anything else falls back to
+  // Traffic-count features are non-negative integers, where the kernels'
+  // counting sweep sorts in O(n + K) whenever K = max is not sparse against
+  // n (kernels::detail::counting_pays); anything else falls back to
   // comparison sort. Both produce the same ascending multiset bit-for-bit.
   if (!kernels::sort_counts(samples)) std::sort(samples.begin(), samples.end());
   auto arena = std::make_shared<const std::vector<double>>(std::move(samples));
@@ -169,9 +170,10 @@ EmpiricalDistribution EmpiricalDistribution::merge(
 
 void merge_sorted_spans(std::span<const std::span<const double>> parts,
                         std::vector<double>& out) {
-  // Small-integer-valued pools (traffic counts) merge with one counting
-  // sweep — O(total + K) instead of O(total log k) heap operations — with
-  // bit-identical output; everything else takes the heap path below.
+  // Integer-valued pools (traffic counts) whose maximum K is not sparse
+  // against the pool size merge with one counting sweep — O(total + K)
+  // instead of O(total log k) heap operations — with bit-identical output;
+  // everything else takes the heap path below.
   if (kernels::counting_merge(parts, out)) return;
 
   out.clear();

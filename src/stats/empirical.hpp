@@ -87,10 +87,11 @@ class EmpiricalDistribution {
   void rank_batch(std::span<const double> xs, std::span<std::uint32_t> out) const;
 
   /// Cumulative rank table cum[k] = #samples <= k, present when the samples
-  /// are small integer counts (stats::kernels::build_rank_table) and the
-  /// distribution owns them or is a view that requested the table; empty
-  /// otherwise. Each rank query against it is one O(1) load with the same
-  /// exact integer result as a binary search over the samples.
+  /// are integer counts whose maximum is not sparse against their number
+  /// (stats::kernels::build_rank_table) and the distribution owns them or
+  /// is a view that requested the table; empty otherwise. Each rank query
+  /// against it is one O(1) load with the same exact integer result as a
+  /// binary search over the samples.
   [[nodiscard]] std::span<const std::uint32_t> rank_table() const noexcept {
     return rank_table_ != nullptr ? std::span<const std::uint32_t>(*rank_table_)
                                   : std::span<const std::uint32_t>{};

@@ -103,16 +103,17 @@ void reset_backend() noexcept { g_active.store(detect(), std::memory_order_relea
 
 namespace {
 
-/// Largest value the counting sweeps will histogram. Traffic-count features
-/// stay far below this; anything bigger falls back to comparison sorting.
-constexpr double kCountingMax = 65535.0;
+/// Largest value a counting sweep can index: the histogram and rank-table
+/// bins are 32-bit. Whether a histogram over [0, max] is worth building is
+/// decided per input by detail::counting_pays (stats/kernels.hpp).
+constexpr double kCountMax = 4294967295.0;
 
-/// True when `v` round-trips through a small unsigned integer without
+/// True when `v` round-trips through an unsigned 32-bit integer without
 /// changing its bit pattern (rejects fractions, negatives, out-of-range
 /// values and the -0.0 edge case, whose emitted +0.0 would compare equal
 /// but differ bitwise).
-inline bool is_small_count(double v, std::uint32_t& out) noexcept {
-  if (!(v >= 0.0) || v > kCountingMax) return false;
+inline bool is_count(double v, std::uint32_t& out) noexcept {
+  if (!(v >= 0.0) || v > kCountMax) return false;
   const auto u = static_cast<std::uint32_t>(v);
   if (static_cast<double>(u) != v) return false;
   if (v == 0.0 && std::signbit(v)) return false;
@@ -131,9 +132,10 @@ bool sort_counts(std::vector<double>& samples) noexcept {
   // bails halfway through (the caller would std::sort a clean buffer).
   for (double v : samples) {
     std::uint32_t u;
-    if (!is_small_count(v, u)) return false;
+    if (!is_count(v, u)) return false;
     if (u > max_value) max_value = u;
   }
+  if (!detail::counting_pays(max_value, samples.size())) return false;
   auto& hist = t_histogram;
   hist.assign(static_cast<std::size_t>(max_value) + 1, 0);
   for (double v : samples) ++hist[static_cast<std::uint32_t>(v)];
@@ -153,18 +155,20 @@ bool counting_merge(std::span<const std::span<const double>> parts,
     total += p.size();
     if (p.empty()) continue;
     // Ascending parts: front/back bound the whole span, so one check per
-    // part rejects negative or oversized data before the element scan.
+    // part rejects negative or non-integer-range data before the element
+    // scan.
     std::uint32_t u;
-    if (!is_small_count(p.front(), u) || !is_small_count(p.back(), u)) return false;
+    if (!is_count(p.front(), u) || !is_count(p.back(), u)) return false;
     if (u > max_value) max_value = u;
   }
   if (total < 256) return false;  // heap merge wins on tiny pools
+  if (!detail::counting_pays(max_value, total)) return false;
   auto& hist = t_histogram;
   hist.assign(static_cast<std::size_t>(max_value) + 1, 0);
   for (const auto& p : parts) {
     for (double v : p) {
       std::uint32_t u;
-      if (!is_small_count(v, u)) return false;  // interior fraction/-0.0: bail
+      if (!is_count(v, u)) return false;  // interior fraction/-0.0: bail
       ++hist[u];
     }
   }
@@ -183,16 +187,16 @@ bool build_rank_table(std::span<const double> sorted_arena,
   const std::size_t n = sorted_arena.size();
   if (n < 64) return false;  // per-query binary search is already cheap
   // Ascending arena: front/back bound the value range, so two checks reject
-  // negative or oversized data before the element scan.
+  // negative, non-integer-range or sparse data before the element scan.
   std::uint32_t u;
-  if (!is_small_count(sorted_arena.front(), u) ||
-      !is_small_count(sorted_arena.back(), u)) {
+  if (!is_count(sorted_arena.front(), u) || !is_count(sorted_arena.back(), u) ||
+      !detail::counting_pays(u, n)) {
     return false;
   }
   cum.assign(static_cast<std::size_t>(u) + 1, 0);
   for (double v : sorted_arena) {
     std::uint32_t uv;
-    if (!is_small_count(v, uv)) {  // interior fraction or -0.0: bail
+    if (!is_count(v, uv)) {  // interior fraction or -0.0: bail
       cum.clear();
       return false;
     }

@@ -13,19 +13,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "features/feature.hpp"
 #include "hids/evaluator.hpp"
 #include "hids/grouping.hpp"
 #include "hids/heuristics.hpp"
 #include "obs/span.hpp"
+#include "oracles/kernels.hpp"
 #include "sim/fleet.hpp"
 #include "sim/analysis_cache.hpp"
 #include "sim/scenario.hpp"
+#include "stats/empirical.hpp"
+#include "stats/kernels.hpp"
 
 namespace monohids::sim {
 namespace {
@@ -252,6 +257,80 @@ TEST(Fleet, PolicyRankingSurvivesTheApproximation) {
           .mean_utility(w);
   EXPECT_GT(u_full, u_partial);
   EXPECT_GT(u_partial, u_homogeneous);
+}
+
+TEST(Fleet, CountedHomogeneousPoolMatchesTheHeapMergeOracle) {
+  // 1024 hosts pool 24,576 samples per feature. Under seed 1 the TCP and
+  // TCP-SYN pool maxima (~66k-67k) are above 65535 but within 4 n, so
+  // counting_merge and the rank table take them
+  // (kernels::detail::counting_pays); under seed 4 they are sparse
+  // (~290k-299k) and take the heap merge. Either way the homogeneous
+  // threshold and every user's utility must match the heap-merge oracle
+  // bit for bit: oracles::merge_sorted, a view without a rank table, the
+  // same heuristic.
+  const hids::UtilityHeuristic heuristic(0.5);
+  const hids::HomogeneousGrouper homogeneous;
+  const double w = 0.5;
+  std::size_t counted_above_floor = 0;
+  std::size_t sparse = 0;
+  const auto check = [&](const FleetScenario& fleet, FeatureKind feature) {
+    const auto train = fleet.analysis().week(feature, 0);
+    std::vector<std::span<const double>> spans;
+    for (const auto& user : *train) spans.push_back(user.samples());
+    const std::vector<double> oracle_pool = oracles::merge_sorted(spans);
+    std::vector<double> counted;
+    const bool counts = stats::kernels::counting_merge(spans, counted);
+    if (counts) {
+      EXPECT_EQ(counted, oracle_pool);
+    }
+    if (oracle_pool.back() > 65535.0) {
+      const bool within_slack = oracle_pool.back() <= 4.0 * oracle_pool.size();
+      EXPECT_EQ(counts, within_slack);
+      const auto tabled = stats::EmpiricalDistribution::view_of_sorted(oracle_pool, true);
+      EXPECT_EQ(tabled.rank_table().empty(), !within_slack);
+      ++(within_slack ? counted_above_floor : sparse);
+    }
+
+    const auto attack = fleet.analysis().attack_model(feature, 0, 32);
+    const auto oracle_view = stats::EmpiricalDistribution::view_of_sorted(oracle_pool);
+    ASSERT_TRUE(oracle_view.rank_table().empty());
+    hids::ThresholdAssignment oracle;
+    oracle.groups = homogeneous.assign(*train);
+    oracle.threshold_of_group = {heuristic.compute(oracle_view, attack.get())};
+    oracle.threshold_of_user.assign(train->size(), oracle.threshold_of_group[0]);
+
+    const auto assigned =
+        hids::assign_thresholds(*train, homogeneous, heuristic, attack.get());
+    ASSERT_EQ(assigned.threshold_of_group.size(), 1u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(assigned.threshold_of_group[0]),
+              std::bit_cast<std::uint64_t>(oracle.threshold_of_group[0]));
+
+    const auto test = fleet.analysis().week(feature, 1);
+    const auto expected = hids::evaluate_policy(*train, *test, oracle, homogeneous.name(),
+                                                heuristic.name(), *attack);
+    const auto outcome =
+        evaluate_fleet_policy(fleet, feature, {0, 1}, homogeneous, heuristic, *attack);
+    const auto utilities = outcome.utilities(w);
+    const auto expected_utilities = expected.utilities(w);
+    ASSERT_EQ(utilities.size(), expected_utilities.size());
+    for (std::size_t u = 0; u < utilities.size(); ++u) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(utilities[u]),
+                std::bit_cast<std::uint64_t>(expected_utilities[u]))
+          << "user " << u;
+    }
+  };
+  for (const std::uint64_t seed : {1, 4}) {
+    FleetConfig config = small_fleet(1024, 512);
+    config.set_seed(seed);
+    const FleetScenario fleet = build_fleet_scenario(config);
+    for (FeatureKind feature : features::kAllFeatures) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                   std::string(features::name_of(feature)));
+      check(fleet, feature);
+    }
+  }
+  EXPECT_GE(counted_above_floor, 1u) << "no counted pool above the 65535 floor";
+  EXPECT_GE(sparse, 1u) << "no sparse pool above the 65535 floor";
 }
 
 TEST(Fleet, ConsoleAlarmsAreScaledToRealWeeks) {

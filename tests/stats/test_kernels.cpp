@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -240,6 +241,7 @@ TEST(KernelCountingPaths, SortCountsRejectsNonCountData) {
     EXPECT_FALSE(kernels::sort_counts(v));
   }
   {
+    // Above the 65535 floor and sparse: 70000 > 4 * 100 samples.
     std::vector<double> v = base;
     v[40] = 70000.0;
     EXPECT_FALSE(kernels::sort_counts(v));
@@ -310,6 +312,116 @@ TEST(KernelCountingPaths, CountingMergeRejectsNonCountData) {
   EXPECT_FALSE(kernels::counting_merge(tiny, out));
 }
 
+// The histogram rule (kernels::detail::counting_pays): max <= 65535, or
+// max <= 4 n. The second clause matters only for pools above 16383 samples.
+static_assert(kernels::detail::counting_pays(65535, 1));
+static_assert(!kernels::detail::counting_pays(65536, 16383));
+static_assert(kernels::detail::counting_pays(80000, 20000));
+static_assert(!kernels::detail::counting_pays(80001, 20000));
+
+/// `parts` ascending parts of `len` heavy-tailed counts, the largest exactly
+/// `max_value` (a fleet pool in miniature).
+std::vector<std::vector<double>> count_parts(std::size_t parts, std::size_t len,
+                                             double max_value, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::vector<double>> out(parts, std::vector<double>(len));
+  for (auto& part : out) {
+    for (double& v : part) v = std::floor(std::exp(rng.uniform01() * std::log(max_value)));
+    std::sort(part.begin(), part.end());
+  }
+  out[parts / 2].back() = max_value;
+  std::sort(out[parts / 2].begin(), out[parts / 2].end());
+  return out;
+}
+
+TEST(KernelCountingPaths, PoolAboveTheFloorWithinTheSlackIsCounted) {
+  // 20,000 samples with maximum 80,000 = 4 n: above the old 65535 ceiling,
+  // inside the rule. All three counting paths take it and match their
+  // comparison-path oracles exactly.
+  const auto storage = count_parts(800, 25, 80000.0, 41);
+  const std::vector<std::span<const double>> parts(storage.begin(), storage.end());
+  const std::vector<double> expected = oracles::merge_sorted(parts);
+  ASSERT_EQ(expected.size(), 20000u);
+  ASSERT_EQ(expected.back(), 80000.0);
+
+  std::vector<double> counted;
+  ASSERT_TRUE(kernels::counting_merge(parts, counted));
+  EXPECT_EQ(counted, expected);
+
+  std::vector<double> flat;
+  for (const auto& part : storage) flat.insert(flat.end(), part.rbegin(), part.rend());
+  ASSERT_TRUE(kernels::sort_counts(flat));
+  EXPECT_EQ(flat, oracles::sorted_copy(flat));
+  EXPECT_EQ(flat, expected);
+
+  std::vector<std::uint32_t> cum;
+  ASSERT_TRUE(kernels::build_rank_table(expected, cum));
+  EXPECT_EQ(cum.size(), 80001u);
+  const auto n = static_cast<std::uint32_t>(expected.size());
+  for (double q : {-1.0, 0.0, 1.0, 99.5, 1000.0, 65535.0, 65535.5, 79999.0, 80000.0, 1e9}) {
+    const auto rank = static_cast<std::uint32_t>(
+        std::upper_bound(expected.begin(), expected.end(), q) - expected.begin());
+    EXPECT_EQ(kernels::rank_from_table(cum, n, q), rank) << "q=" << q;
+  }
+  for (std::size_t i = 0; i < expected.size(); i += 97) {
+    const double q = expected[i];
+    const auto rank = static_cast<std::uint32_t>(
+        std::upper_bound(expected.begin(), expected.end(), q) - expected.begin());
+    EXPECT_EQ(kernels::rank_from_table(cum, n, q), rank) << "q=" << q;
+  }
+
+  // One past the slack: the same pool with max 80,001 is left to the
+  // comparison paths.
+  auto past = storage;
+  past[0].back() = 80001.0;
+  const std::vector<std::span<const double>> past_parts(past.begin(), past.end());
+  EXPECT_FALSE(kernels::counting_merge(past_parts, counted));
+  const std::vector<double> past_pool = oracles::merge_sorted(past_parts);
+  EXPECT_FALSE(kernels::build_rank_table(past_pool, cum));
+}
+
+TEST(KernelCountingPaths, SparseHugeMaximumTakesTheComparisonPaths) {
+  // One sample at 10^7 among 300 counts: a histogram would need 10^7 bins
+  // for 300 samples, so every counting path declines, and the heap merge,
+  // std::sort and per-query ranks still give the oracle's answers.
+  DispatchGuard guard;
+  auto storage = count_parts(3, 100, 500.0, 43);
+  storage[1].back() = 1e7;
+  const std::vector<std::span<const double>> parts(storage.begin(), storage.end());
+  const std::vector<double> expected = oracles::merge_sorted(parts);
+
+  std::vector<double> rejected;
+  EXPECT_FALSE(kernels::counting_merge(parts, rejected));
+  std::vector<double> flat;
+  for (const auto& part : storage) flat.insert(flat.end(), part.rbegin(), part.rend());
+  const std::vector<double> untouched = flat;
+  EXPECT_FALSE(kernels::sort_counts(flat));
+  EXPECT_EQ(flat, untouched);
+  std::vector<std::uint32_t> cum;
+  EXPECT_FALSE(kernels::build_rank_table(expected, cum));
+  EXPECT_TRUE(cum.empty());
+
+  const EmpiricalDistribution dist{std::vector<double>(flat)};
+  EXPECT_TRUE(std::equal(dist.samples().begin(), dist.samples().end(), expected.begin(),
+                         expected.end()));
+  EXPECT_TRUE(dist.rank_table().empty());
+  const std::vector<double> queries = {-1.0, 0.0, 250.0, 499.5, 1e6, 1e7, 2e7};
+  std::vector<double> batched(queries.size());
+  for (Backend b : available_backends()) {
+    ASSERT_TRUE(kernels::force_backend(b));
+    std::vector<double> merged;
+    merge_sorted_spans(parts, merged);
+    EXPECT_EQ(merged, expected) << kernels::backend_name(b);
+    dist.cdf_batch(queries, batched);
+    for (std::size_t j = 0; j < queries.size(); ++j) {
+      const auto rank = std::upper_bound(expected.begin(), expected.end(), queries[j]) -
+                        expected.begin();
+      EXPECT_EQ(batched[j], static_cast<double>(rank) / static_cast<double>(expected.size()))
+          << kernels::backend_name(b) << " q=" << queries[j];
+    }
+  }
+}
+
 TEST(KernelRankTable, MatchesUpperBoundIncludingTiesAndOutOfRange) {
   std::vector<double> arena;
   for (int i = 0; i < 40; ++i) {
@@ -348,6 +460,7 @@ TEST(KernelRankTable, RejectsNonCountData) {
   negative.front() = -1.0;
   EXPECT_FALSE(kernels::build_rank_table(negative, cum));
 
+  // Above the 65535 floor and sparse: a 70001-entry table for 100 samples.
   std::vector<double> oversized(100, 70000.0);
   EXPECT_FALSE(kernels::build_rank_table(oversized, cum));
 
