@@ -7,7 +7,7 @@
 #      never touch data outputs: bit-identical feature matrices and flow
 #      stats), and
 #   2. the instrumented streaming headline is within MAX_OVERHEAD_PCT
-#      (default 2%) of the uninstrumented one, as the median over PAIRS
+#      (default 2%) of the uninstrumented one, as the median over 15
 #      interleaved OFF/ON pairs of the per-pair overhead.
 #
 # Why pairs: on a shared VM the speed of the whole machine drifts by
@@ -19,8 +19,8 @@
 # noise lands in. Each run reports the best of REPEAT streaming passes.
 #
 # Usage: scripts/check_obs_overhead.sh [source-dir]
-# Env:   MAX_OVERHEAD_PCT (default 2), PAIRS (default 15), REPEAT (default
-#        5), BUILD_ROOT (default <source-dir>/build-obs-check),
+# Env:   MAX_OVERHEAD_PCT (default 2), REPEAT (default 5), BUILD_ROOT
+#        (default <source-dir>/build-obs-check),
 #        WORKLOAD_ARGS (extra micro_ingest flags, default a ~2.4M-packet
 #        headline).
 set -euo pipefail
@@ -28,7 +28,7 @@ set -euo pipefail
 SRC_DIR="${1:-$(pwd)}"
 BUILD_ROOT="${BUILD_ROOT:-${SRC_DIR}/build-obs-check}"
 MAX_OVERHEAD_PCT="${MAX_OVERHEAD_PCT:-2}"
-PAIRS="${PAIRS:-15}"
+readonly PAIRS=15
 REPEAT="${REPEAT:-5}"
 WORKLOAD_ARGS="${WORKLOAD_ARGS:---flow-rate 500 --flow-seconds 1200 --packets 500000}"
 

@@ -1,5 +1,6 @@
 #include "stats/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -125,17 +126,21 @@ thread_local std::vector<std::uint32_t> t_histogram;
 
 }  // namespace
 
-bool sort_counts(std::vector<double>& samples) noexcept {
-  if (samples.size() < 64) return false;  // std::sort wins on tiny inputs
+bool sort_counts(std::vector<double>& samples) {
+  const std::size_t n = samples.size();
+  if (n < 64) return false;  // std::sort wins on tiny inputs
+  // Largest maximum detail::counting_pays admits for n samples, known before
+  // the scan, so the validation pass stops at the first value above it.
+  const std::size_t limit = std::max<std::size_t>(detail::kCountingFloor,
+                                                  detail::kCountingSlack * n);
   std::uint32_t max_value = 0;
   // Validation pass first: the histogram pass must not run on data that
   // bails halfway through (the caller would std::sort a clean buffer).
   for (double v : samples) {
     std::uint32_t u;
-    if (!is_count(v, u)) return false;
+    if (!is_count(v, u) || u > limit) return false;
     if (u > max_value) max_value = u;
   }
-  if (!detail::counting_pays(max_value, samples.size())) return false;
   auto& hist = t_histogram;
   hist.assign(static_cast<std::size_t>(max_value) + 1, 0);
   for (double v : samples) ++hist[static_cast<std::uint32_t>(v)];

@@ -150,8 +150,10 @@ void reset_backend() noexcept;
 /// integer (traffic counts almost always are) and detail::counting_pays(K,
 /// n) holds. Returns false — leaving `samples` untouched — when the data
 /// does not qualify, in which case the caller falls back to comparison
-/// sort. The sorted result is bit-identical to std::sort's.
-bool sort_counts(std::vector<double>& samples) noexcept;
+/// sort. The sorted result is bit-identical to std::sort's. Throws
+/// std::bad_alloc when the histogram, which grows with n (up to 16 bytes
+/// per sample), cannot be allocated.
+bool sort_counts(std::vector<double>& samples);
 
 /// Counting-sweep k-way merge of ascending spans into `out` (cleared
 /// first): the pooled-distribution analog of sort_counts, under the same
